@@ -1,17 +1,19 @@
 //! Criterion bench: security-index distribution times, IEEE 14 → 118.
 //!
-//! Two series per grid size answer "what does each implementation pay
-//! to price every measurement": `sat/ieeeN` runs the incremental SAT
-//! engine (one shared `UnaryCounter`, assumption-guided descent) over
-//! the full measurement set; `mincut/ieeeN` runs the combinatorial
-//! min-cut pricer from Hendrickx et al. on the same set. The absolute
-//! numbers feed the EXPERIMENTS.md index-distribution figure; the two
-//! series must of course agree on every index (the differential test
-//! suite enforces that — here we only measure).
+//! Four series per grid size answer "what does each path pay to price
+//! every measurement": `sat/ieeeN` runs the incremental SAT engine (one
+//! shared `UnaryCounter`, assumption-guided descent, the differential
+//! oracle) over the full measurement set; `mincut/ieeeN` runs the
+//! min-cut pricer from Hendrickx et al. on the same set;
+//! `served/ieeeN` and `served-certified/ieeeN` run the path `scadad`
+//! serves, without and with the max-flow certificate check. The
+//! absolute numbers feed the EXPERIMENTS.md index-distribution figure;
+//! the series must of course agree on every index (the differential
+//! test suite enforces that — here we only measure).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use powergrid::measurement::MeasurementSet;
-use scada_analyzer::SecurityIndexAnalyzer;
+use scada_analyzer::{served_distribution, CertifyOptions, SecurityIndexAnalyzer};
 use std::hint::black_box;
 
 /// Full (flow + injection) measurement set over an IEEE-shaped grid.
@@ -39,6 +41,14 @@ fn bench_security_index(c: &mut Criterion) {
         group.bench_function(format!("mincut/ieee{buses}"), |bench| {
             bench.iter(|| black_box(powergrid::securityindex::security_indices(&ms)))
         });
+        for (series, certify) in [
+            ("served", CertifyOptions::default()),
+            ("served-certified", CertifyOptions::enabled()),
+        ] {
+            group.bench_function(format!("{series}/ieee{buses}"), |bench| {
+                bench.iter(|| black_box(served_distribution(&ms, &certify)))
+            });
+        }
     }
 
     group.finish();

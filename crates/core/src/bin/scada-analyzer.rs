@@ -468,14 +468,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     }
 
     if flag("--security-index") {
-        // Property-independent: one cardinality-descent per electrical
-        // component over the measurement set, certified (and
+        // Property-independent: one max-flow per measured line over the
+        // measurement set, each component certified (and
         // fault-injectable) through the same log as the verdicts above.
-        let mut engine = scada_analyzer::SecurityIndexAnalyzer::with_certification(
-            &input.measurements,
-            &certify,
-        );
-        let distribution = engine.distribution();
+        let distribution = scada_analyzer::served_distribution(&input.measurements, &certify)
+            .map_err(|e| format!("security index failed: {e}"))?;
         println!(
             "security index: min {} / max {} over {} measurement(s)  ({} solve(s){})",
             distribution.min,

@@ -50,9 +50,11 @@ pub enum Certificate {
         elapsed: Duration,
     },
     /// An `unsat` verdict backed by a replayed DRAT proof that refutes
-    /// the query's assumptions.
+    /// the query's assumptions — or a served security index whose
+    /// max-flow lower bound and re-priced witness both checked.
     Proof {
-        /// Proof steps drained and replayed for this query.
+        /// Proof steps drained and replayed for this query (arc flows
+        /// checked, for a security index).
         steps: u64,
         /// Checker propagations spent on this query.
         propagations: u64,

@@ -92,7 +92,9 @@ pub use parallel::{
     verify_batch_certified, verify_batch_limited, verify_batch_observed,
 };
 pub use patch::{ModelPatch, PatchError};
-pub use security_index::{SecurityIndexAnalyzer, SecurityIndexDistribution, SecurityIndexReport};
+pub use security_index::{
+    served_distribution, SecurityIndexAnalyzer, SecurityIndexDistribution, SecurityIndexReport,
+};
 pub use service::{advance_model_hash, model_hash, ModelHash};
 pub use spec::{parse_duration, FailureBudget, Property, QueryLimits, ResiliencySpec, RetryPolicy};
 pub use synthesis::{

@@ -1,4 +1,6 @@
-//! Security index by cardinality-minimizing SAT (MaxSAT-style descent).
+//! Security indices: the served min-cut path, its max-flow certificate
+//! checker, and the cardinality-minimizing SAT engine kept as the
+//! differential oracle.
 //!
 //! The security index of measurement `k` is `min ‖a‖₀` over undetectable
 //! attacks `a = H·c` with `a_k ≠ 0` (Sou et al., arXiv:1201.5019). For
@@ -6,8 +8,26 @@
 //! `c ∈ {0, 1}^buses` are optimal (Hendrickx et al., arXiv:1204.6174):
 //! a flow measurement is perturbed iff its line crosses the support's
 //! boundary, and an injection iff any incident line does — no
-//! cancellation is possible because every term has the same sign. That
-//! makes the condition propositional:
+//! cancellation is possible because every term has the same sign.
+//!
+//! **Served path.** [`served_distribution`] prices every measurement by
+//! [`powergrid::securityindex::min_cut_indices`]: one max-flow per line
+//! over a gadget network. Under certification each electrical
+//! component's index is checked here, without `powergrid`'s network
+//! code, from the measurement list alone:
+//!
+//! * *lower bound* — the gadget's arc capacities are rebuilt on
+//!   canonically named nodes (bus, `p_v`, `q_v`); each max-flow must
+//!   respect them, conserve flow at every node but the line's two ends,
+//!   and send its claimed value out of the source. Weak duality makes
+//!   that value a lower bound on every cut, and the gadget lemma makes
+//!   every attack that cuts the line such a cut;
+//! * *upper bound* — the min cut's source side is re-priced as an
+//!   attack by [`priced_affected`], must separate the line's ends and
+//!   must perturb the target.
+//!
+//! **SAT oracle.** [`SecurityIndexAnalyzer`] answers the same question
+//! as a propositional one, for the differential tests and benchmarks:
 //!
 //! * one variable `c_b` per bus (the perturbation support),
 //! * one Tseitin difference literal `d_l ⟺ c_x ⊕ c_y` per line,
@@ -27,12 +47,15 @@
 //! against the mirrored clauses, and the extracted attack is re-priced
 //! directly from the measurement list.
 //!
-//! This module is the SAT half of a cross-validated pair;
-//! [`powergrid::securityindex`] computes the same quantity by min-cut
-//! over the sparsity graph, sharing no code with this encoding.
+//! The SAT engine shares no code with [`powergrid::securityindex`], so
+//! the two agreeing everywhere cross-validates the served answers.
+
+use std::collections::HashMap;
+use std::time::Instant;
 
 use boolexpr::UnaryCounter;
-use powergrid::{BusId, MeasurementId, MeasurementKind, MeasurementSet};
+use powergrid::securityindex::{min_cut_indices, BranchCut, FlowNode, MinCutIndices};
+use powergrid::{BranchId, BusId, MeasurementId, MeasurementKind, MeasurementSet};
 use satcore::{
     check_model, CnfSink as _, LBool, Lit, ProofBuffer, ProofStep, RupChecker, SolveResult, Solver,
 };
@@ -67,11 +90,313 @@ pub struct SecurityIndexDistribution {
     pub min: usize,
     /// The best-protected measurement's index.
     pub max: usize,
-    /// Total incremental solver calls across the distribution.
+    /// Work units across the distribution: max-flows on the served
+    /// path, incremental solver calls on the SAT engine.
     pub solves: usize,
     /// Certification failures across the distribution (0 when
     /// certification is off or everything checked).
     pub cert_failures: usize,
+}
+
+/// Serves the index distribution from min-cut: one max-flow per line
+/// that some measurement depends on, and `solves` counts them.
+///
+/// With `certify.enabled`, every electrical component's index is
+/// checked against its max-flow lower bound and its re-priced witness,
+/// one [`Certificate`] per component recorded in `certify.log`; with
+/// `certify.proof_dir` set, each component's cuts are also written to
+/// `secidx-NNNN.flow` there.
+///
+/// # Errors
+///
+/// A measurement no attack can change (an injection at a bus with no
+/// incident line) has no index; the error names it and its bus.
+pub fn served_distribution(
+    ms: &MeasurementSet,
+    certify: &CertifyOptions,
+) -> Result<SecurityIndexDistribution, String> {
+    let MinCutIndices { indices, cuts } = min_cut_indices(ms).map_err(|e| e.to_string())?;
+    let solves = cuts.len();
+    let cert_failures = if certify.enabled {
+        certify_served(ms, &indices, cuts, certify)
+    } else {
+        0
+    };
+    Ok(SecurityIndexDistribution {
+        min: indices.iter().copied().min().unwrap_or(0),
+        max: indices.iter().copied().max().unwrap_or(0),
+        indices,
+        solves,
+        cert_failures,
+    })
+}
+
+/// Checks every component of a served distribution and records one
+/// certificate each; returns the failures. The faults of
+/// [`CertifyOptions::fault`] corrupt one arc flow (`CorruptProof`) or
+/// flip the source bus of the witness (`CorruptModel`) of every cut.
+fn certify_served(
+    ms: &MeasurementSet,
+    indices: &[usize],
+    mut cuts: Vec<BranchCut>,
+    certify: &CertifyOptions,
+) -> usize {
+    let sys = ms.system();
+    for cut in &mut cuts {
+        match certify.fault {
+            Some(CertFault::CorruptProof) => {
+                if let Some(arc) = cut.flows.first_mut() {
+                    arc.flow += 1;
+                }
+            }
+            Some(CertFault::CorruptModel) => {
+                let source = sys.branch(cut.branch).from;
+                match cut.witness.iter().position(|&bus| bus == source) {
+                    Some(i) => {
+                        cut.witness.remove(i);
+                    }
+                    None => cut.witness.push(source),
+                }
+            }
+            None => {}
+        }
+    }
+    let capacities = gadget_capacities(ms);
+    let lower: Vec<Result<(), String>> = cuts
+        .iter()
+        .map(|cut| check_flow(ms, &capacities, cut))
+        .collect();
+
+    let mut failures = 0;
+    for (seq, group) in ms.unique_components().iter().enumerate() {
+        let start = Instant::now();
+        let target = group[0];
+        let claimed = indices[target.index()];
+        let checked = check_component(ms, &cuts, &lower, target, claimed)
+            .and_then(|arcs| write_flow_file(certify, seq, ms, &cuts, target).map(|()| arcs));
+        let certificate = match checked {
+            Ok(arcs) => Certificate::Proof {
+                steps: arcs,
+                propagations: 0,
+                elapsed: start.elapsed(),
+            },
+            Err(reason) => {
+                failures += 1;
+                Certificate::Failed { reason }
+            }
+        };
+        certify.log.record(&certificate);
+    }
+    failures
+}
+
+/// Gadget arc capacities rebuilt from the measurement list, keyed by
+/// canonically named endpoints; `None` marks an uncapacitated (∞) arc.
+type Capacities = HashMap<(FlowNode, FlowNode), Option<usize>>;
+
+/// Rebuilds the min-cut gadget's arcs: antiparallel line arcs weighted
+/// by measured flows, and for each measured injection at `v` the unit
+/// arcs `v → p_v`, `q_v → v` plus uncapacitated `p_v → u`, `u → q_v`
+/// for every neighbor `u`.
+fn gadget_capacities(ms: &MeasurementSet) -> Capacities {
+    let sys = ms.system();
+    let mut capacities = Capacities::new();
+    for &kind in ms.kinds() {
+        match kind {
+            MeasurementKind::FlowForward(b) | MeasurementKind::FlowBackward(b) => {
+                let line = sys.branch(b);
+                let (x, y) = (FlowNode::Bus(line.from), FlowNode::Bus(line.to));
+                for arc in [(x, y), (y, x)] {
+                    let cap = capacities.entry(arc).or_insert(Some(0));
+                    *cap = cap.map(|c| c + 1);
+                }
+            }
+            MeasurementKind::Injection(v) => {
+                capacities.insert((FlowNode::Bus(v), FlowNode::P(v)), Some(1));
+                capacities.insert((FlowNode::Q(v), FlowNode::Bus(v)), Some(1));
+                for &b in sys.branches_at(v) {
+                    let line = sys.branch(b);
+                    let u = if line.from == v { line.to } else { line.from };
+                    capacities.insert((FlowNode::P(v), FlowNode::Bus(u)), None);
+                    capacities.insert((FlowNode::Bus(u), FlowNode::Q(v)), None);
+                }
+            }
+        }
+    }
+    capacities
+}
+
+/// The lower-bound half of a cut's certificate: `cut.flows` must be a
+/// feasible flow of value `cut.value` from the line's `from` end to its
+/// `to` end — within every capacity, conserved at every other node.
+fn check_flow(ms: &MeasurementSet, capacities: &Capacities, cut: &BranchCut) -> Result<(), String> {
+    let sys = ms.system();
+    if cut.branch.index() >= sys.num_branches() {
+        return Err(format!("max-flow for unknown {}", cut.branch));
+    }
+    let line = sys.branch(cut.branch);
+    let (source, sink) = (FlowNode::Bus(line.from), FlowNode::Bus(line.to));
+    // Flow per arc, summed over repeated listings, in node order.
+    let mut arcs: Vec<((FlowNode, FlowNode), usize)> =
+        cut.flows.iter().map(|a| ((a.from, a.to), a.flow)).collect();
+    arcs.sort_unstable_by_key(|&(arc, _)| arc);
+    arcs.dedup_by(|next, kept| {
+        let repeated = next.0 == kept.0;
+        if repeated {
+            kept.1 = kept.1.saturating_add(next.1);
+        }
+        repeated
+    });
+    // Net outflow per node: buses, then every `p_v`, then every `q_v`
+    // (the order `FlowNode` sorts in). Only gadget nodes get here.
+    let buses = sys.num_buses();
+    let slot = |node: FlowNode| match node {
+        FlowNode::Bus(v) => v.index(),
+        FlowNode::P(v) => buses + v.index(),
+        FlowNode::Q(v) => 2 * buses + v.index(),
+    };
+    let mut outflow = vec![0i128; 3 * buses];
+    for &((from, to), flow) in &arcs {
+        match capacities.get(&(from, to)) {
+            None => {
+                return Err(format!(
+                    "max-flow for {}: flow {flow} on {from}→{to}, which is not a gadget arc",
+                    cut.branch
+                ))
+            }
+            Some(Some(cap)) if flow > *cap => {
+                return Err(format!(
+                    "max-flow for {}: flow {flow} on {from}→{to} exceeds its capacity {cap}",
+                    cut.branch
+                ))
+            }
+            Some(_) => {}
+        }
+        outflow[slot(from)] += flow as i128;
+        outflow[slot(to)] -= flow as i128;
+    }
+    let ends = [slot(source), slot(sink)];
+    if let Some((i, net)) = outflow
+        .iter()
+        .enumerate()
+        .find(|&(i, &net)| net != 0 && !ends.contains(&i))
+    {
+        let node = match i / buses {
+            0 => FlowNode::Bus(BusId(i)),
+            1 => FlowNode::P(BusId(i - buses)),
+            _ => FlowNode::Q(BusId(i - 2 * buses)),
+        };
+        return Err(format!(
+            "max-flow for {}: flow is not conserved at {node} (net outflow {net})",
+            cut.branch
+        ));
+    }
+    let value = outflow[slot(source)];
+    if value != cut.value as i128 {
+        return Err(format!(
+            "max-flow for {}: net flow out of {source} is {value}, but the claimed value is {}",
+            cut.branch, cut.value
+        ));
+    }
+    Ok(())
+}
+
+/// The lines an attack on `target` must cut: its own line for a flow,
+/// any incident line for an injection.
+fn bounding_lines(ms: &MeasurementSet, target: MeasurementId) -> Vec<BranchId> {
+    match ms.kind(target) {
+        MeasurementKind::FlowForward(b) | MeasurementKind::FlowBackward(b) => vec![b],
+        MeasurementKind::Injection(v) => ms.system().branches_at(v).to_vec(),
+    }
+}
+
+/// Certifies one measurement's served index. Every line an attack on
+/// `target` must cut carries a checked max-flow (`lower`, parallel to
+/// `cuts`), so no attack is cheaper than the smallest value; that value
+/// must be `claimed`, and its cut's witness must separate the line's
+/// ends and re-price to `claimed` perturbed measurements, `target`
+/// among them. Returns the arc flows checked.
+fn check_component(
+    ms: &MeasurementSet,
+    cuts: &[BranchCut],
+    lower: &[Result<(), String>],
+    target: MeasurementId,
+    claimed: usize,
+) -> Result<u64, String> {
+    let sys = ms.system();
+    let mut best: Option<&BranchCut> = None;
+    let mut arcs = 0;
+    for b in bounding_lines(ms, target) {
+        let i = cuts
+            .binary_search_by_key(&b, |cut| cut.branch)
+            .map_err(|_| format!("no max-flow bounds attacks on {target} across {b}"))?;
+        lower[i].clone()?;
+        arcs += cuts[i].flows.len() as u64;
+        if best.is_none_or(|cut| cuts[i].value < cut.value) {
+            best = Some(&cuts[i]);
+        }
+    }
+    let best = best.ok_or_else(|| format!("{target} has no line an attack could cut"))?;
+    if best.value != claimed {
+        return Err(format!(
+            "served index {claimed} for {target}, but its max-flow lower bound is {}",
+            best.value
+        ));
+    }
+    let line = sys.branch(best.branch);
+    let mut support = vec![false; sys.num_buses()];
+    for &bus in &best.witness {
+        *support
+            .get_mut(bus.index())
+            .ok_or_else(|| format!("witness for {target} names unknown {bus}"))? = true;
+    }
+    if support[line.from.index()] == support[line.to.index()] {
+        return Err(format!(
+            "witness for {target} does not separate {} from {} across {}",
+            line.from, line.to, best.branch
+        ));
+    }
+    let repriced = priced_affected(ms, &support);
+    if repriced.len() != claimed {
+        return Err(format!(
+            "witness for {target} re-prices to {} measurements, claimed {claimed}",
+            repriced.len()
+        ));
+    }
+    if !repriced.contains(&target) {
+        return Err(format!("witness for {target} does not perturb it"));
+    }
+    Ok(arcs)
+}
+
+/// Writes one component's certificate to `secidx-NNNN.flow` under the
+/// proof directory, if one is set: per line an attack must cut, the
+/// cut's value, its witness buses and its arc flows.
+fn write_flow_file(
+    certify: &CertifyOptions,
+    seq: usize,
+    ms: &MeasurementSet,
+    cuts: &[BranchCut],
+    target: MeasurementId,
+) -> Result<(), String> {
+    let Some(dir) = certify.proof_dir.as_ref() else {
+        return Ok(());
+    };
+    let lines = bounding_lines(ms, target);
+    let mut text = format!("c security index of {target} {}\n", ms.kind(target));
+    for cut in cuts.iter().filter(|cut| lines.contains(&cut.branch)) {
+        text.push_str(&format!("cut {} value {}\nwitness", cut.branch, cut.value));
+        for bus in &cut.witness {
+            text.push_str(&format!(" {bus}"));
+        }
+        text.push('\n');
+        for arc in &cut.flows {
+            text.push_str(&format!("flow {} {} {}\n", arc.from, arc.to, arc.flow));
+        }
+    }
+    let path = dir.join(format!("secidx-{seq:04}.flow"));
+    std::fs::write(&path, text)
+        .map_err(|e| format!("writing certificate file {}: {e}", path.display()))
 }
 
 /// Incremental certification state: one RUP checker audits the whole
@@ -538,6 +863,134 @@ mod tests {
                 .collect();
             assert_eq!(priced_affected(&ms, &support).len(), report.index, "{id}");
             assert!(report.affected.contains(&id), "{id}");
+        }
+    }
+
+    /// Path 1–2–3–4 with every flow and injection measured, and the
+    /// served cut of its middle line (source bus 2, sink bus 3).
+    fn path4_middle_cut() -> (MeasurementSet, BranchCut) {
+        let sys = powergrid::PowerSystem::new(
+            "path4",
+            4,
+            (0..3)
+                .map(|i| powergrid::Branch::new(BusId(i), BusId(i + 1), 1.0))
+                .collect(),
+        );
+        let ms = MeasurementSet::full(sys);
+        let mut cuts = min_cut_indices(&ms).unwrap().cuts;
+        assert_eq!(cuts[1].branch, BranchId(1));
+        (ms, cuts.swap_remove(1))
+    }
+
+    /// Adds `delta` units on the arc `from → to`, listing it if absent.
+    fn bump(cut: &mut BranchCut, from: FlowNode, to: FlowNode, delta: usize) {
+        match cut.flows.iter_mut().find(|a| a.from == from && a.to == to) {
+            Some(arc) => arc.flow += delta,
+            None => cut.flows.push(powergrid::securityindex::ArcFlow {
+                from,
+                to,
+                flow: delta,
+            }),
+        }
+    }
+
+    fn flow_error(ms: &MeasurementSet, cut: &BranchCut) -> String {
+        check_flow(ms, &gadget_capacities(ms), cut).unwrap_err()
+    }
+
+    #[test]
+    fn flow_checker_accepts_served_cuts() {
+        let (ms, cut) = path4_middle_cut();
+        assert_eq!(check_flow(&ms, &gadget_capacities(&ms), &cut), Ok(()));
+        let certify = CertifyOptions::enabled();
+        let served = served_distribution(&MeasurementSet::full(ieee14()), &certify).unwrap();
+        assert_eq!(served.cert_failures, 0);
+        assert_eq!(certify.log.failures(), 0);
+    }
+
+    #[test]
+    fn flow_checker_rejects_a_flow_above_capacity() {
+        // Bus 2 → bus 3 carries both measured flows: capacity 2.
+        let (ms, mut cut) = path4_middle_cut();
+        bump(
+            &mut cut,
+            FlowNode::Bus(BusId(1)),
+            FlowNode::Bus(BusId(2)),
+            1,
+        );
+        assert!(flow_error(&ms, &cut).contains("exceeds its capacity 2"));
+    }
+
+    #[test]
+    fn flow_checker_rejects_an_arc_outside_the_gadget() {
+        let (ms, mut cut) = path4_middle_cut();
+        bump(
+            &mut cut,
+            FlowNode::Bus(BusId(0)),
+            FlowNode::Bus(BusId(2)),
+            1,
+        );
+        assert!(flow_error(&ms, &cut).contains("not a gadget arc"));
+    }
+
+    #[test]
+    fn flow_checker_rejects_broken_conservation() {
+        // Each bump touches one node besides the source and sink, which
+        // must be named: bus 1 (via p_bus2, whose imbalance sorts
+        // after it), p_bus4 (into the sink) and q_bus1 (out of the
+        // source).
+        for (from, to, node) in [
+            (FlowNode::P(BusId(1)), FlowNode::Bus(BusId(0)), "at bus1 "),
+            (FlowNode::P(BusId(3)), FlowNode::Bus(BusId(2)), "at p_bus4 "),
+            (FlowNode::Bus(BusId(1)), FlowNode::Q(BusId(0)), "at q_bus1 "),
+        ] {
+            let (ms, mut cut) = path4_middle_cut();
+            bump(&mut cut, from, to, 1);
+            let error = flow_error(&ms, &cut);
+            assert!(
+                error.contains("not conserved") && error.contains(node),
+                "{from}→{to}: {error}"
+            );
+        }
+    }
+
+    #[test]
+    fn flow_checker_rejects_a_value_the_flow_does_not_carry() {
+        let (ms, mut cut) = path4_middle_cut();
+        cut.value += 1;
+        assert!(flow_error(&ms, &cut).contains("net flow out of bus2"));
+    }
+
+    #[test]
+    fn component_checker_rejects_a_witness_that_does_not_separate() {
+        let (ms, cut) = path4_middle_cut();
+        let flow = MeasurementId(1); // P(line2)
+        let lower = [Ok(())];
+        let claimed = cut.value;
+        let check = |cut: &BranchCut, claimed| {
+            check_component(&ms, std::slice::from_ref(cut), &lower, flow, claimed)
+        };
+        assert!(check(&cut, claimed).is_ok());
+        assert!(check(&cut, claimed + 1)
+            .unwrap_err()
+            .contains("lower bound"));
+        let mut joined = cut.clone();
+        joined.witness.push(BusId(2));
+        assert!(check(&joined, claimed)
+            .unwrap_err()
+            .contains("does not separate"));
+    }
+
+    #[test]
+    fn served_certificates_catch_both_faults() {
+        let ms = MeasurementSet::full(case5());
+        for fault in [CertFault::CorruptProof, CertFault::CorruptModel] {
+            let mut options = CertifyOptions::enabled();
+            options.fault = Some(fault);
+            let served = served_distribution(&ms, &options).unwrap();
+            let components = ms.unique_components().len();
+            assert_eq!(served.cert_failures, components, "{fault:?}");
+            assert_eq!(options.log.failures(), components as u64, "{fault:?}");
         }
     }
 

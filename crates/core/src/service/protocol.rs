@@ -370,13 +370,20 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err("raw control byte in string".to_string()),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so boundaries
-                    // are valid).
+                    // Copy the whole run up to the next quote, escape or
+                    // control byte at once, validating each byte once so
+                    // long strings (inline configs) stay linear. Those
+                    // bytes are ASCII, so the run ends on a char
+                    // boundary of the (valid UTF-8) input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "bad UTF-8".to_string())?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    let s =
+                        std::str::from_utf8(&rest[..run]).map_err(|_| "bad UTF-8".to_string())?;
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -944,7 +951,8 @@ pub enum QueryReply {
         min: usize,
         /// The hardest measurement's index.
         max: usize,
-        /// SAT solver invocations spent on the distribution.
+        /// Max-flows run for the distribution (one per line some
+        /// measurement depends on).
         solves: usize,
         /// Per-component certification failures (non-zero only when the
         /// service runs certified and a verdict fails to check).
@@ -1456,6 +1464,10 @@ mod tests {
     fn string_escapes_roundtrip() {
         let v = parse_json("\"a\\\"b\\\\c\\n\\u0041\\ud83d\\ude00\"").unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\nA😀"));
+        // Raw multi-byte runs between escapes copy through unchanged.
+        let v = parse_json("\"héllo 😀\\tzß\\\"\"").unwrap();
+        assert_eq!(v.as_str(), Some("héllo 😀\tzß\""));
+        assert!(parse_json("\"ab\u{1}c\"").is_err());
         assert!(parse_json("\"\\ud83d\"").is_err());
         assert!(parse_json("\"\\q\"").is_err());
     }

@@ -31,7 +31,7 @@ use crate::enumerate::enumerate_threats_with_limited;
 use crate::input::AnalysisInput;
 use crate::obs::{MetricsRegistry, Obs, TraceEvent};
 use crate::patch::ModelPatch;
-use crate::security_index::SecurityIndexAnalyzer;
+use crate::security_index::served_distribution;
 use crate::verify::Analyzer;
 
 use super::cache::{CacheKey, QueryShape, VerdictCache, DEFAULT_CACHE_CAPACITY};
@@ -309,12 +309,12 @@ impl Engine {
                 let query_limits = limits.to_limits();
                 let query: SessionQuery = Box::new(move |analyzer| {
                     let report = analyzer.verify_with_report_limited(property, spec, &query_limits);
-                    QueryReply::Verify {
+                    Ok(QueryReply::Verify {
                         verdict: report.verdict,
                         conflicts: report.conflicts,
                         attempts: report.attempts,
                         certificate: report.certificate.as_ref().map(cert_status),
-                    }
+                    })
                 });
                 self.run_query("verify", model, key, query, start)
             }
@@ -334,7 +334,7 @@ impl Engine {
                 let query_limits = limits.to_limits();
                 let query: SessionQuery = Box::new(move |analyzer| {
                     let max = analyzer.max_resiliency_limited(property, axis, r, &query_limits);
-                    QueryReply::MaxRes { max }
+                    Ok(QueryReply::MaxRes { max })
                 });
                 self.run_query("maxres", model, key, query, start)
             }
@@ -372,11 +372,11 @@ impl Engine {
                         cap,
                         &query_limits,
                     );
-                    QueryReply::Enumerate {
+                    Ok(QueryReply::Enumerate {
                         vectors: space.vectors,
                         truncated: space.truncated,
                         undecided: space.undecided,
-                    }
+                    })
                 });
                 self.run_query("enumerate", model, key, query, start)
             }
@@ -389,21 +389,18 @@ impl Engine {
                 };
                 let certify = self.certify.clone();
                 let query: SessionQuery = Box::new(move |analyzer| {
-                    // The index engine keeps its own incremental
-                    // encoding (one counter over the measurement
-                    // literals), separate from the session's resiliency
-                    // model — built per query, amortized by the verdict
-                    // cache.
-                    let ms = analyzer.input().measurements.clone();
-                    let mut engine = SecurityIndexAnalyzer::with_certification(&ms, &certify);
-                    let distribution = engine.distribution();
-                    QueryReply::SecurityIndex {
+                    // The index depends on the measurement set only, not
+                    // the session's resiliency model: priced by min-cut
+                    // per query, amortized by the verdict cache.
+                    let distribution =
+                        served_distribution(&analyzer.input().measurements, &certify)?;
+                    Ok(QueryReply::SecurityIndex {
                         indices: distribution.indices,
                         min: distribution.min,
                         max: distribution.max,
                         solves: distribution.solves,
                         cert_failures: distribution.cert_failures,
-                    }
+                    })
                 });
                 self.run_query("security_index", model, key, query, start)
             }
@@ -858,8 +855,10 @@ pub(crate) fn op_name(request: &Request) -> &'static str {
 /// Builds the session job for a `patch` request.
 fn patch_query(patch: &ModelPatch) -> SessionQuery {
     let job_patch = patch.clone();
-    Box::new(move |analyzer| QueryReply::Patched {
-        result: analyzer.apply_patch(&job_patch).map_err(|e| e.to_string()),
+    Box::new(move |analyzer| {
+        Ok(QueryReply::Patched {
+            result: analyzer.apply_patch(&job_patch).map_err(|e| e.to_string()),
+        })
     })
 }
 

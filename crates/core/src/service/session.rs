@@ -39,8 +39,10 @@ pub const DEFAULT_SESSION_CAPACITY: usize = 8;
 /// A query over the session's warm analyzer. The analyzer owns its
 /// input; queries that need a throwaway analyzer (e.g. enumeration,
 /// whose blocking clauses would poison the warm one) clone
-/// `analyzer.input()` and build their own.
-pub type SessionQuery = Box<dyn FnOnce(&mut Analyzer<'static>) -> QueryReply + Send>;
+/// `analyzer.input()` and build their own. An `Err` is a wire-ready
+/// message for a model the query cannot answer; the session stays warm.
+pub type SessionQuery =
+    Box<dyn FnOnce(&mut Analyzer<'static>) -> Result<QueryReply, String> + Send>;
 
 struct Job {
     query: SessionQuery,
@@ -82,7 +84,7 @@ fn run_session(
         let Job { query, reply } = job;
         let outcome = catch_unwind(AssertUnwindSafe(|| query(&mut analyzer)));
         let result = match outcome {
-            Ok(result) => Ok(result),
+            Ok(result) => result,
             Err(payload) => {
                 // The query may have left the analyzer mid-encode or with
                 // limits armed; rebuild from the analyzer's *current*
@@ -145,7 +147,8 @@ impl DispatchTicket {
     }
 
     /// Blocks until the session worker answers. An `Err` means the
-    /// query panicked (the session survived and rebuilt itself).
+    /// query could not answer or panicked (either way the session
+    /// survived; a panic also rebuilt its analyzer).
     pub fn wait(self) -> Result<QueryReply, String> {
         self.reply
             .recv()
@@ -428,12 +431,12 @@ mod tests {
     fn verify_query(spec: ResiliencySpec) -> SessionQuery {
         Box::new(move |analyzer| {
             let report = analyzer.verify_with_report(Property::Observability, spec);
-            QueryReply::Verify {
+            Ok(QueryReply::Verify {
                 verdict: report.verdict,
                 conflicts: report.conflicts,
                 attempts: report.attempts,
                 certificate: None,
-            }
+            })
         })
     }
 

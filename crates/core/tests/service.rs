@@ -8,6 +8,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use proptest::prelude::*;
+use scada_analyzer::service::{Engine, ServeOptions};
 use scada_analyzer::{model_hash, AnalysisInput};
 use scadasim::{generate, parse_config, write_config, ScadaConfig, ScadaGenConfig};
 
@@ -46,6 +47,41 @@ mtu 4
 resilience 1 0
 corrupted 1
 ";
+
+/// An injection measured at a bus with no incident line has no security
+/// index. The op must answer an error naming the bus, not panic the
+/// session into a rebuild.
+#[test]
+fn security_index_of_an_unattackable_injection_is_an_error_not_a_panic() {
+    let config = BASE_CONFIG
+        .replace("[buses]\n3", "[buses]\n4")
+        .replace("injection 2\n", "injection 2\ninjection 4\n");
+    let engine = Engine::new(ServeOptions::default());
+    let load = engine
+        .handle_line(&format!(
+            "{{\"op\":\"load\",\"config\":\"{}\"}}",
+            config.replace('\n', "\\n")
+        ))
+        .line;
+    let model = load
+        .split("\"model\":\"")
+        .nth(1)
+        .and_then(|rest| rest.split('"').next())
+        .unwrap_or_else(|| panic!("load failed: {load}"));
+    let reply = engine
+        .handle_line(&format!(
+            "{{\"op\":\"security_index\",\"model\":\"{model}\"}}"
+        ))
+        .line;
+    assert!(
+        reply.starts_with("{\"ok\":false") && reply.contains("bus4"),
+        "{reply}"
+    );
+    assert!(!reply.contains("query panicked"), "{reply}");
+    let health = engine.handle_line("{\"op\":\"health\"}").line;
+    assert!(health.contains("\"session_rebuilds\":0"), "{health}");
+    engine.drain();
+}
 
 fn input_from(text: &str) -> AnalysisInput {
     AnalysisInput::from(parse_config(text).unwrap_or_else(|e| panic!("config: {e}")))

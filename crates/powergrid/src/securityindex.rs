@@ -28,286 +28,410 @@
 //!   `q_v → v` (capacity 1) and `u → q_v` (∞) for each neighbor
 //!   (fires when `v ∉ S` has a neighbor inside).
 //!
-//! A flow-target on line `(x, y)` forces `x ∈ S, y ∉ S` (one orientation
-//! suffices — the cost is invariant under complementing `S`); an
-//! injection-target at `v` needs *some* incident line cut, so it is the
-//! minimum over `v`'s neighbors of the corresponding flow cut.
+//! The cheapest attack that cuts line `(x, y)` is the min cut with `x`
+//! on the source side and `y` on the sink side (one orientation
+//! suffices — the cost is invariant under complementing `S`). A flow
+//! measurement is touched exactly when its line is cut, so its index is
+//! its line's cut value; an injection at `v` is touched when *some*
+//! incident line is cut, so its index is the minimum over those lines'
+//! cut values. The gadget is built once per measurement set and each
+//! distinct line gets one max-flow, on a fresh copy of its capacities.
 //!
-//! This module is the SAT-free half of the engine's cross-validated
-//! pair; `scada_analyzer::security_index` implements the same quantity
-//! by cardinality-minimizing SAT and the two must agree everywhere.
+//! Every cut is returned with both halves of its certificate: the
+//! maximum flow (arc by arc, on canonically named nodes — a lower bound
+//! by weak duality) and the source-side bus set (an attack achieving
+//! the value — an upper bound). `scada_analyzer::security_index` checks
+//! both without this module's code, and implements the same quantity by
+//! cardinality-minimizing SAT as the differential oracle.
+
+use std::fmt;
 
 use crate::measurement::{MeasurementId, MeasurementKind, MeasurementSet};
 use crate::system::{BranchId, BusId};
 
-/// One measurement's security index with an optimal attack witness.
+/// A node of the gadget flow network, named by the bus it belongs to so
+/// a checker can rebuild the network's arcs from the measurement list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum FlowNode {
+    /// A grid bus.
+    Bus(BusId),
+    /// `p_v`: charges `v`'s injection when `v ∈ S` has a neighbor
+    /// outside `S`.
+    P(BusId),
+    /// `q_v`: charges `v`'s injection when `v ∉ S` has a neighbor
+    /// inside `S`.
+    Q(BusId),
+}
+
+impl fmt::Display for FlowNode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FlowNode::Bus(v) => write!(f, "{v}"),
+            FlowNode::P(v) => write!(f, "p_{v}"),
+            FlowNode::Q(v) => write!(f, "q_{v}"),
+        }
+    }
+}
+
+/// The flow a maximum flow routes over one gadget arc.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArcFlow {
+    /// The arc's tail.
+    pub from: FlowNode,
+    /// The arc's head.
+    pub to: FlowNode,
+    /// Units routed (always positive in a [`BranchCut`]).
+    pub flow: usize,
+}
+
+/// The cheapest attack that cuts one line, with its certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SecurityIndex {
-    /// `‖a‖₀` of the sparsest undetectable attack touching the target
-    /// (counts the target itself, so always ≥ 1).
-    pub index: usize,
-    /// The attacked bus set `S` (the binary perturbation's support).
-    pub attack_buses: Vec<BusId>,
-    /// The measurements the optimal attack perturbs (the target is one
-    /// of them); `affected.len() == index`.
-    pub affected: Vec<MeasurementId>,
+pub struct BranchCut {
+    /// The line; its `from` end is the source, its `to` end the sink.
+    pub branch: BranchId,
+    /// The max-flow value, equal to the min-cut capacity: the number of
+    /// measurements the cheapest attack cutting this line perturbs.
+    pub value: usize,
+    /// The min cut's source-side buses, in bus order: an attacked bus
+    /// set `S` that contains the line's `from` end but not its `to` end.
+    pub witness: Vec<BusId>,
+    /// The maximum flow, as its positive arc flows.
+    pub flows: Vec<ArcFlow>,
 }
 
-/// Arc of the gadget flow network (paired with its reverse).
-#[derive(Debug, Clone, Copy)]
-struct Arc {
-    to: usize,
-    cap: usize,
-    /// Index of the reverse arc in `to`'s adjacency list.
-    rev: usize,
+/// Every measurement's security index, with the cuts that determine it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MinCutIndices {
+    /// Per-measurement indices, in measurement order.
+    pub indices: Vec<usize>,
+    /// One cut per line that some measurement depends on (its own line
+    /// for a flow, every incident line for an injection), in branch
+    /// order. Its length is the number of max-flows run.
+    pub cuts: Vec<BranchCut>,
 }
 
-/// A unit-ish-capacity flow network with Dinic's algorithm.
-#[derive(Debug, Clone)]
+/// Why the security indices of a measurement set cannot be computed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SecurityIndexError {
+    /// An injection measured at a bus with no incident line: no attack
+    /// changes it, so it has no index.
+    Unattackable {
+        /// The injection measurement.
+        measurement: MeasurementId,
+        /// Its bus.
+        bus: BusId,
+    },
+    /// A min cut's source side prices differently from its max-flow
+    /// value, which means the gadget construction is wrong.
+    WitnessMismatch {
+        /// The line whose cut disagreed.
+        branch: BranchId,
+        /// The max-flow value.
+        value: usize,
+        /// The witness priced against the measurement list.
+        priced: usize,
+    },
+}
+
+impl fmt::Display for SecurityIndexError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SecurityIndexError::Unattackable { measurement, bus } => write!(
+                f,
+                "measurement {measurement} is an injection at {bus}, which has no incident \
+                 line: no attack can change it, so it has no security index"
+            ),
+            SecurityIndexError::WitnessMismatch {
+                branch,
+                value,
+                priced,
+            } => write!(
+                f,
+                "min-cut witness for {branch} prices to {priced} measurements, \
+                 but the max-flow value is {value}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SecurityIndexError {}
+
+/// A flow network in flat form. Arcs come in pairs — a forward arc `2k`
+/// and its zero-capacity reverse `2k + 1` — so `a ^ 1` is always the
+/// partner, and arc `a` runs from `head[a ^ 1]` to `head[a]`.
+/// Residual capacities live in a separate vector, so each max-flow
+/// starts from a plain copy of the initial capacities.
+#[derive(Debug)]
 struct FlowNet {
-    adj: Vec<Vec<Arc>>,
+    /// Each node's arcs are `out[first[v]..first[v + 1]]`.
+    first: Vec<usize>,
+    out: Vec<usize>,
+    head: Vec<usize>,
+    /// Initial capacity of every arc.
+    cap: Vec<usize>,
 }
 
 impl FlowNet {
-    fn new(nodes: usize) -> FlowNet {
+    /// Builds the network from its forward arcs `(from, to, capacity)`;
+    /// forward arc `k` becomes arc `2k`.
+    fn new(nodes: usize, arcs: &[(usize, usize, usize)]) -> FlowNet {
+        let mut head = Vec::with_capacity(2 * arcs.len());
+        let mut cap = Vec::with_capacity(2 * arcs.len());
+        let mut degree = vec![0usize; nodes + 1];
+        for &(from, to, c) in arcs {
+            head.extend([to, from]);
+            cap.extend([c, 0]);
+            degree[from] += 1;
+            degree[to] += 1;
+        }
+        let mut first = vec![0usize; nodes + 1];
+        for v in 0..nodes {
+            first[v + 1] = first[v] + degree[v];
+        }
+        let mut fill = first.clone();
+        let mut out = vec![0usize; head.len()];
+        for a in 0..head.len() {
+            let tail = head[a ^ 1];
+            out[fill[tail]] = a;
+            fill[tail] += 1;
+        }
         FlowNet {
-            adj: vec![Vec::new(); nodes],
-        }
-    }
-
-    fn add_arc(&mut self, from: usize, to: usize, cap: usize) {
-        let rev_from = self.adj[to].len();
-        let rev_to = self.adj[from].len();
-        self.adj[from].push(Arc {
-            to,
+            first,
+            out,
+            head,
             cap,
-            rev: rev_from,
-        });
-        self.adj[to].push(Arc {
-            to: from,
-            cap: 0,
-            rev: rev_to,
-        });
+        }
     }
 
-    /// BFS level graph; `None` when `t` is unreachable in the residual.
-    fn levels(&self, s: usize, t: usize) -> Option<Vec<u32>> {
-        let mut level = vec![u32::MAX; self.adj.len()];
-        let mut queue = std::collections::VecDeque::new();
-        level[s] = 0;
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            for arc in &self.adj[u] {
-                if arc.cap > 0 && level[arc.to] == u32::MAX {
-                    level[arc.to] = level[u] + 1;
-                    queue.push_back(arc.to);
+    /// Max flow from `s` to `t` by shortest augmenting paths. Each
+    /// search stops as soon as it reaches `t`, so it explores only the
+    /// neighbourhood the cut lies in. Returns the value, the residual
+    /// capacities and the nodes the last (failed) search reached: the
+    /// min cut's source side.
+    fn max_flow(&self, s: usize, t: usize) -> (usize, Vec<usize>, Vec<bool>) {
+        let nodes = self.first.len() - 1;
+        let mut cap = self.cap.clone();
+        let mut via = vec![0usize; nodes];
+        let mut seen = vec![false; nodes];
+        let mut queue = Vec::with_capacity(nodes);
+        let mut value = 0;
+        loop {
+            seen.fill(false);
+            seen[s] = true;
+            queue.clear();
+            queue.push(s);
+            let mut next = 0;
+            'search: while let Some(&u) = queue.get(next) {
+                next += 1;
+                for &a in &self.out[self.first[u]..self.first[u + 1]] {
+                    let v = self.head[a];
+                    if cap[a] > 0 && !seen[v] {
+                        seen[v] = true;
+                        via[v] = a;
+                        if v == t {
+                            break 'search;
+                        }
+                        queue.push(v);
+                    }
                 }
             }
-        }
-        (level[t] != u32::MAX).then_some(level)
-    }
-
-    /// DFS blocking-flow step along the level graph.
-    fn augment(
-        &mut self,
-        u: usize,
-        t: usize,
-        pushed: usize,
-        level: &[u32],
-        iter: &mut [usize],
-    ) -> usize {
-        if u == t {
-            return pushed;
-        }
-        while iter[u] < self.adj[u].len() {
-            let Arc { to, cap, rev } = self.adj[u][iter[u]];
-            if cap > 0 && level[to] == level[u] + 1 {
-                let flowed = self.augment(to, t, pushed.min(cap), level, iter);
-                if flowed > 0 {
-                    self.adj[u][iter[u]].cap -= flowed;
-                    self.adj[to][rev].cap += flowed;
-                    return flowed;
-                }
+            if !seen[t] {
+                return (value, cap, seen);
             }
-            iter[u] += 1;
-        }
-        0
-    }
-
-    /// Max flow from `s` to `t` (equivalently, the min-cut value).
-    fn max_flow(&mut self, s: usize, t: usize) -> usize {
-        let mut flow = 0;
-        while let Some(level) = self.levels(s, t) {
-            let mut iter = vec![0usize; self.adj.len()];
-            loop {
-                let pushed = self.augment(s, t, usize::MAX, &level, &mut iter);
-                if pushed == 0 {
-                    break;
-                }
-                flow += pushed;
+            let mut push = usize::MAX;
+            let mut v = t;
+            while v != s {
+                push = push.min(cap[via[v]]);
+                v = self.head[via[v] ^ 1];
             }
-        }
-        flow
-    }
-
-    /// Nodes reachable from `s` in the residual graph (the min cut's
-    /// source side, once `max_flow` has run).
-    fn residual_reachable(&self, s: usize) -> Vec<bool> {
-        let mut seen = vec![false; self.adj.len()];
-        let mut stack = vec![s];
-        seen[s] = true;
-        while let Some(u) = stack.pop() {
-            for arc in &self.adj[u] {
-                if arc.cap > 0 && !seen[arc.to] {
-                    seen[arc.to] = true;
-                    stack.push(arc.to);
-                }
+            let mut v = t;
+            while v != s {
+                cap[via[v]] -= push;
+                cap[via[v] ^ 1] += push;
+                v = self.head[via[v] ^ 1];
             }
+            value += push;
         }
-        seen
     }
 }
 
-/// The measurement structure the cuts are priced against.
-struct Sparsity {
-    /// Measured flow count per branch (0, 1, or 2).
-    flow_weight: Vec<usize>,
-    /// Whether each bus's injection is measured.
-    injection: Vec<bool>,
+/// The gadget network of one measurement set, built once and run once
+/// per line. Node layout: buses `0..B`, then a `p_v`/`q_v` pair per
+/// injection-measured bus.
+struct Gadget {
+    net: FlowNet,
+    /// The canonical name of every node.
+    names: Vec<FlowNode>,
 }
 
-impl Sparsity {
-    fn of(ms: &MeasurementSet) -> Sparsity {
+impl Gadget {
+    fn build(ms: &MeasurementSet) -> Gadget {
         let sys = ms.system();
+        let buses = sys.num_buses();
         let mut flow_weight = vec![0usize; sys.num_branches()];
-        let mut injection = vec![false; sys.num_buses()];
-        for id in ms.ids() {
-            match ms.kind(id) {
+        let mut injection = vec![false; buses];
+        for &kind in ms.kinds() {
+            match kind {
                 MeasurementKind::FlowForward(b) | MeasurementKind::FlowBackward(b) => {
                     flow_weight[b.index()] += 1;
                 }
                 MeasurementKind::Injection(v) => injection[v.index()] = true,
             }
         }
-        Sparsity {
-            flow_weight,
-            injection,
+        let mut names: Vec<FlowNode> = sys.buses().map(FlowNode::Bus).collect();
+        for v in sys.buses().filter(|v| injection[v.index()]) {
+            names.push(FlowNode::P(v));
+            names.push(FlowNode::Q(v));
         }
+        let mut arcs = Vec::new();
+        // Any capacity strictly above the largest finite cut acts as ∞.
+        let infinite = ms.len() + 1;
+
+        for (bi, branch) in sys.branches().iter().enumerate() {
+            let w = flow_weight[bi];
+            if w > 0 {
+                arcs.push((branch.from.index(), branch.to.index(), w));
+                arcs.push((branch.to.index(), branch.from.index(), w));
+            }
+        }
+        let mut aux = buses;
+        for v in sys.buses().filter(|v| injection[v.index()]) {
+            let (p, q) = (aux, aux + 1);
+            aux += 2;
+            arcs.push((v.index(), p, 1));
+            arcs.push((q, v.index(), 1));
+            for u in sys.neighbors(v) {
+                arcs.push((p, u.index(), infinite));
+                arcs.push((u.index(), q, infinite));
+            }
+        }
+        Gadget {
+            net: FlowNet::new(names.len(), &arcs),
+            names,
+        }
+    }
+
+    /// The min cut separating `branch`'s `from` end from its `to` end.
+    fn cut(&self, ms: &MeasurementSet, branch: BranchId) -> Result<BranchCut, SecurityIndexError> {
+        let sys = ms.system();
+        let ends = sys.branch(branch);
+        let (value, residual, reachable) = self.net.max_flow(ends.from.index(), ends.to.index());
+        let in_s = &reachable[..sys.num_buses()];
+        let priced = priced(ms, in_s);
+        if priced != value {
+            return Err(SecurityIndexError::WitnessMismatch {
+                branch,
+                value,
+                priced,
+            });
+        }
+        let flows = (0..self.net.cap.len())
+            .step_by(2)
+            .filter_map(|a| {
+                let flow = self.net.cap[a] - residual[a];
+                (flow > 0).then(|| ArcFlow {
+                    from: self.names[self.net.head[a ^ 1]],
+                    to: self.names[self.net.head[a]],
+                    flow,
+                })
+            })
+            .collect();
+        Ok(BranchCut {
+            branch,
+            value,
+            witness: sys.buses().filter(|b| in_s[b.index()]).collect(),
+            flows,
+        })
     }
 }
 
-/// Builds the gadget network for one measurement set. Node layout:
-/// buses `0..B`, then a `p_v`/`q_v` pair per injection-measured bus.
-fn build_network(ms: &MeasurementSet, sparsity: &Sparsity) -> FlowNet {
-    let sys = ms.system();
-    let buses = sys.num_buses();
-    let measured_injections = sparsity.injection.iter().filter(|&&i| i).count();
-    let mut net = FlowNet::new(buses + 2 * measured_injections);
-    // Any capacity strictly above the largest finite cut acts as ∞.
-    let infinite = ms.len() + 1;
-
-    for (bi, branch) in sys.branches().iter().enumerate() {
-        let w = sparsity.flow_weight[bi];
-        if w > 0 {
-            net.add_arc(branch.from.index(), branch.to.index(), w);
-            net.add_arc(branch.to.index(), branch.from.index(), w);
-        }
-    }
-    let mut aux = buses;
-    for v in sys.buses() {
-        if !sparsity.injection[v.index()] {
-            continue;
-        }
-        let (p, q) = (aux, aux + 1);
-        aux += 2;
-        net.add_arc(v.index(), p, 1);
-        net.add_arc(q, v.index(), 1);
-        for u in sys.neighbors(v) {
-            net.add_arc(p, u.index(), infinite);
-            net.add_arc(u.index(), q, infinite);
-        }
-    }
-    net
-}
-
-/// The measurements perturbed by the binary attack `S` (bus support),
-/// priced directly from the measurement list — this is the cut value
+/// The number of measurements perturbed by the binary attack `S` (bus
+/// support), priced directly from the measurement list — the cut value
 /// recomputed without the flow network, used to cross-check the witness.
-fn affected_by(ms: &MeasurementSet, in_s: &[bool]) -> Vec<MeasurementId> {
+fn priced(ms: &MeasurementSet, in_s: &[bool]) -> usize {
     let sys = ms.system();
     let cut = |b: BranchId| {
         let branch = sys.branch(b);
         in_s[branch.from.index()] != in_s[branch.to.index()]
     };
-    ms.ids()
-        .filter(|&id| match ms.kind(id) {
+    ms.kinds()
+        .iter()
+        .filter(|&&kind| match kind {
             MeasurementKind::FlowForward(b) | MeasurementKind::FlowBackward(b) => cut(b),
             MeasurementKind::Injection(v) => sys.branches_at(v).iter().any(|&b| cut(b)),
         })
-        .collect()
+        .count()
 }
 
-/// Min cut separating `s` from `t`, with the witness bus set.
-fn cut_between(ms: &MeasurementSet, sparsity: &Sparsity, s: BusId, t: BusId) -> (usize, Vec<bool>) {
-    let mut net = build_network(ms, sparsity);
-    let value = net.max_flow(s.index(), t.index());
-    let reachable = net.residual_reachable(s.index());
-    let in_s: Vec<bool> = (0..ms.system().num_buses()).map(|b| reachable[b]).collect();
-    (value, in_s)
-}
-
-/// The security index of one measurement, by min-cut.
+/// Every measurement's security index, by one max-flow per line that
+/// some measurement depends on.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `target` is out of range for `ms`, or if the witness cut
-/// disagrees with the max-flow value (which would mean the gadget
-/// construction is wrong — checked on every query by design).
-pub fn security_index(ms: &MeasurementSet, target: MeasurementId) -> SecurityIndex {
+/// [`SecurityIndexError::Unattackable`] for an injection measured at a
+/// bus with no incident line; [`SecurityIndexError::WitnessMismatch`]
+/// if a cut's witness does not price to its value (a bug, checked on
+/// every cut).
+pub fn min_cut_indices(ms: &MeasurementSet) -> Result<MinCutIndices, SecurityIndexError> {
     let sys = ms.system();
-    let best = match ms.kind(target) {
-        MeasurementKind::FlowForward(b) | MeasurementKind::FlowBackward(b) => {
-            let branch = sys.branch(b);
-            let sparsity = Sparsity::of(ms);
-            cut_between(ms, &sparsity, branch.from, branch.to)
+    let mut needed = vec![false; sys.num_branches()];
+    for id in ms.ids() {
+        match ms.kind(id) {
+            MeasurementKind::FlowForward(b) | MeasurementKind::FlowBackward(b) => {
+                needed[b.index()] = true;
+            }
+            MeasurementKind::Injection(v) => {
+                let incident = sys.branches_at(v);
+                if incident.is_empty() {
+                    return Err(SecurityIndexError::Unattackable {
+                        measurement: id,
+                        bus: v,
+                    });
+                }
+                for &b in incident {
+                    needed[b.index()] = true;
+                }
+            }
         }
-        MeasurementKind::Injection(v) => {
-            // The injection changes iff some incident line is cut:
-            // minimize over which neighbor ends up across the cut.
-            let sparsity = Sparsity::of(ms);
-            sys.neighbors(v)
-                .into_iter()
-                .map(|u| cut_between(ms, &sparsity, v, u))
-                .min_by_key(|(value, _)| *value)
-                .expect("injection-measured bus with no incident line")
-        }
-    };
-    let (value, in_s) = best;
-    let affected = affected_by(ms, &in_s);
-    assert_eq!(
-        affected.len(),
-        value,
-        "min-cut witness prices differently from the max-flow value for {target}"
-    );
-    assert!(
-        affected.contains(&target),
-        "min-cut witness does not touch the target {target}"
-    );
-    let attack_buses = (0..sys.num_buses())
-        .filter(|&b| in_s[b])
-        .map(BusId)
-        .collect();
-    SecurityIndex {
-        index: value,
-        attack_buses,
-        affected,
     }
+
+    let gadget = Gadget::build(ms);
+    let mut value_of = vec![usize::MAX; sys.num_branches()];
+    let mut cuts = Vec::new();
+    for b in (0..sys.num_branches()).filter(|&b| needed[b]).map(BranchId) {
+        let cut = gadget.cut(ms, b)?;
+        value_of[b.index()] = cut.value;
+        cuts.push(cut);
+    }
+    let indices = ms
+        .ids()
+        .map(|id| match ms.kind(id) {
+            MeasurementKind::FlowForward(b) | MeasurementKind::FlowBackward(b) => {
+                value_of[b.index()]
+            }
+            MeasurementKind::Injection(v) => sys
+                .branches_at(v)
+                .iter()
+                .map(|b| value_of[b.index()])
+                .min()
+                .unwrap_or(usize::MAX),
+        })
+        .collect();
+    Ok(MinCutIndices { indices, cuts })
 }
 
 /// The full index distribution: the security index of every measurement
 /// in `ms`, in measurement order.
+///
+/// # Panics
+///
+/// Panics where [`min_cut_indices`] returns an error, e.g. for an
+/// injection measured at a bus with no incident line.
 pub fn security_indices(ms: &MeasurementSet) -> Vec<usize> {
-    ms.ids().map(|id| security_index(ms, id).index).collect()
+    match min_cut_indices(ms) {
+        Ok(mincut) => mincut.indices,
+        Err(e) => panic!("{e}"),
+    }
 }
 
 #[cfg(test)]
@@ -337,17 +461,14 @@ mod tests {
         // plus injections at buses 1 and 2 → 4. Cutting both lines
         // (S = {bus2}) costs 4 + all three injections = 7, and cutting
         // nothing affects nothing, so 4 is optimal for every target
-        // touching line 1.
-        let l1_fwd = MeasurementId(0);
-        let got = security_index(&ms, l1_fwd);
-        assert_eq!(got.index, 4);
-        assert_eq!(got.affected.len(), 4);
-        assert!(got.affected.contains(&l1_fwd));
-        // The end-bus injection shares line 1's optimum; the middle
-        // injection can pick either line, also 4.
-        for inj in [MeasurementId(4), MeasurementId(5), MeasurementId(6)] {
-            assert_eq!(security_index(&ms, inj).index, 4, "{inj}");
-        }
+        // touching line 1. The middle injection can pick either line,
+        // also 4.
+        let got = min_cut_indices(&ms).unwrap();
+        assert_eq!(got.indices, vec![4; 7]);
+        assert_eq!(got.cuts.len(), 2, "one max-flow per line");
+        assert_eq!(got.cuts[0].branch, BranchId(0));
+        assert_eq!(got.cuts[0].witness, vec![BusId(0)]);
+        assert_eq!(priced(&ms, &[true, false, false]), 4);
     }
 
     #[test]
@@ -366,15 +487,14 @@ mod tests {
         );
         let kinds = (0..3).map(|i| MeasurementKind::FlowForward(BranchId(i)));
         let ms = MeasurementSet::new(sys, kinds.collect());
-        for id in ms.ids() {
-            assert_eq!(security_index(&ms, id).index, 2, "{id}");
-        }
+        assert_eq!(security_indices(&ms), vec![2, 2, 2]);
     }
 
     #[test]
     fn unmeasured_lines_are_free_to_cut() {
         // Square 1-2-3-4-1; only line 1-2 measured. Cutting around the
-        // square's other lines costs nothing, so the index is 1.
+        // square's other lines costs nothing, so the index is 1, and
+        // only the measured line needs a max-flow.
         let sys = PowerSystem::new(
             "square",
             4,
@@ -386,23 +506,31 @@ mod tests {
             ],
         );
         let ms = MeasurementSet::new(sys, vec![MeasurementKind::FlowForward(BranchId(0))]);
-        let got = security_index(&ms, MeasurementId(0));
-        assert_eq!(got.index, 1);
-        assert_eq!(got.affected, vec![MeasurementId(0)]);
+        let got = min_cut_indices(&ms).unwrap();
+        assert_eq!(got.indices, vec![1]);
+        assert_eq!(got.cuts.len(), 1);
+        assert_eq!(got.cuts[0].flows.len(), 1);
     }
 
     #[test]
-    fn witness_invariants_hold_on_ieee_cases() {
+    fn cut_invariants_hold_on_ieee_cases() {
         for sys in [case5(), ieee14()] {
             let ms = MeasurementSet::full(sys);
-            let m = ms.len();
-            for id in ms.ids() {
-                let got = security_index(&ms, id);
-                assert!(got.index >= 1, "{id} index 0");
-                assert!(got.index <= m, "{id} index above m");
-                assert!(got.affected.contains(&id), "{id} not in own attack");
-                assert!(!got.attack_buses.is_empty(), "{id} empty support");
+            let got = min_cut_indices(&ms).unwrap();
+            assert_eq!(got.cuts.len(), ms.system().num_branches());
+            for cut in &got.cuts {
+                let ends = ms.system().branch(cut.branch);
+                assert!(cut.witness.contains(&ends.from), "{}", cut.branch);
+                assert!(!cut.witness.contains(&ends.to), "{}", cut.branch);
+                let out: usize = cut
+                    .flows
+                    .iter()
+                    .filter(|a| a.from == FlowNode::Bus(ends.from))
+                    .map(|a| a.flow)
+                    .sum();
+                assert_eq!(out, cut.value, "{}", cut.branch);
             }
+            assert!(got.indices.iter().all(|&i| (1..=ms.len()).contains(&i)));
         }
     }
 
@@ -415,5 +543,26 @@ mod tests {
             // full() lays out forwards then backwards, branch order.
             assert_eq!(all[b], all[branches + b], "line{}", b + 1);
         }
+    }
+
+    #[test]
+    fn isolated_injection_is_an_error_naming_its_bus() {
+        let sys = PowerSystem::new("island", 3, vec![Branch::new(BusId(0), BusId(1), 1.0)]);
+        let ms = MeasurementSet::new(
+            sys,
+            vec![
+                MeasurementKind::FlowForward(BranchId(0)),
+                MeasurementKind::Injection(BusId(2)),
+            ],
+        );
+        let err = min_cut_indices(&ms).unwrap_err();
+        assert_eq!(
+            err,
+            SecurityIndexError::Unattackable {
+                measurement: MeasurementId(1),
+                bus: BusId(2)
+            }
+        );
+        assert!(err.to_string().contains("bus3"), "{err}");
     }
 }
