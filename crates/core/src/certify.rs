@@ -13,7 +13,11 @@
 //! * `unsat` (resilient) verdicts carry a DRAT proof emitted by the
 //!   solver and replayed by [`satcore::RupChecker`] — an independent
 //!   propagation engine sharing no code with the solver's BCP — which
-//!   must then refute the query's assumptions.
+//!   must then refute the query's assumptions. The solver names each
+//!   lemma's antecedents, so the replay scans those clauses instead of
+//!   propagating the whole formula; hints are untrusted, and a lemma
+//!   they do not justify is re-checked by full propagation (counted as
+//!   a hint fallback, zero in a correct build).
 //! * `Unknown` verdicts certify nothing, by design.
 //!
 //! Certification is *incremental*: one [`RupChecker`] per analyzer
@@ -27,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use satcore::{check_model, LBool, ProofBuffer, ProofStep, RupChecker};
+use satcore::{check_model, HintedProof, LBool, ProofBuffer, ProofStep, RupChecker};
 use scadasim::{DeviceId, DeviceKind};
 
 use crate::bruteforce::DirectEvaluator;
@@ -217,24 +221,22 @@ impl CertSession {
     /// axioms), so the single incremental checker remains a sound
     /// auditor across the boundary.
     pub(crate) fn flush_patch_boundary(&mut self, encoder: &ModelEncoder) -> Result<(), String> {
-        let steps = self.buffer.take_steps();
+        let proof = self.buffer.take_hinted();
         if let Some(mirror) = encoder.solver().mirror() {
             for clause in &mirror.clauses[self.mirrored.min(mirror.clauses.len())..] {
                 self.checker.add_axiom(clause);
             }
             self.mirrored = mirror.clauses.len();
         }
-        for step in &steps {
-            if let Err(e) = self.checker.apply(step) {
-                return Err(format!("proof replay failed at patch boundary: {e}"));
-            }
+        if let Err(e) = self.checker.replay(&proof) {
+            return Err(format!("proof replay failed at patch boundary: {e}"));
         }
         let n = self.patches;
         self.patches += 1;
         if let Some(dir) = self.options.proof_dir.as_ref() {
             let path = dir.join(format!("patch-{n:04}.drat"));
             let mut bytes = Vec::new();
-            satcore::write_drat(&steps, &mut bytes)
+            satcore::write_drat(proof.steps(), &mut bytes)
                 .map_err(|e| format!("serializing patch-boundary proof segment: {e}"))?;
             std::fs::write(&path, bytes)
                 .map_err(|e| format!("writing proof file {}: {e}", path.display()))?;
@@ -259,21 +261,27 @@ impl CertSession {
     ) -> Certificate {
         let start = Instant::now();
         let before = self.checker.stats();
-        let mut steps = self.buffer.take_steps();
+        let mut proof = self.buffer.take_hinted();
         if self.options.fault == Some(CertFault::CorruptProof) {
-            steps.insert(0, ProofStep::Add(Vec::new()));
+            // No hints: nothing vouches for the step, full propagation
+            // must reject it.
+            proof.insert_unhinted(0, ProofStep::Add(Vec::new()));
         }
         let seq = self.seq;
         self.seq += 1;
         let certificate = self.check(
-            encoder, evaluator, input, property, spec, verdict, violation, &steps,
+            encoder, evaluator, input, property, spec, verdict, violation, &proof,
         );
-        let certificate = match (certificate, self.write_proof_file(query, seq, &steps)) {
+        let certificate = match (
+            certificate,
+            self.write_proof_file(query, seq, proof.steps()),
+        ) {
             (Certificate::Failed { reason }, _) => Certificate::Failed { reason },
             (_, Err(reason)) => Certificate::Failed { reason },
             (ok, Ok(())) => ok,
         };
         let delta_steps = self.checker.stats().steps - before.steps;
+        let fallbacks = self.checker.stats().fallbacks - before.fallbacks;
         let elapsed = start.elapsed();
         let certificate = match certificate {
             Certificate::Threat { .. } => Certificate::Threat {
@@ -298,9 +306,11 @@ impl CertSession {
             },
             ok: !certificate.is_failure(),
             steps: delta_steps,
+            fallbacks,
             elapsed,
         });
         obs.count("cert_checks", 1);
+        obs.count("cert_hint_fallbacks", fallbacks);
         if certificate.is_failure() {
             obs.count("cert_failures", 1);
         }
@@ -321,7 +331,7 @@ impl CertSession {
         spec: ResiliencySpec,
         verdict: &Verdict,
         violation: Option<(&HashSet<DeviceId>, &HashSet<usize>)>,
-        steps: &[ProofStep],
+        proof: &HintedProof,
     ) -> Certificate {
         // 1. Feed this query's new axioms (mirrored original clauses),
         //    then replay its proof steps — every solve learns clauses,
@@ -338,12 +348,10 @@ impl CertSession {
             self.checker.add_axiom(clause);
         }
         self.mirrored = mirror.clauses.len();
-        for step in steps {
-            if let Err(e) = self.checker.apply(step) {
-                return Certificate::Failed {
-                    reason: format!("proof replay failed: {e}"),
-                };
-            }
+        if let Err(e) = self.checker.replay(proof) {
+            return Certificate::Failed {
+                reason: format!("proof replay failed: {e}"),
+            };
         }
 
         match verdict {

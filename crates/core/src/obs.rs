@@ -144,6 +144,9 @@ pub enum TraceEvent {
         ok: bool,
         /// DRAT proof steps drained and replayed for this query.
         steps: u64,
+        /// Hinted lemmas re-checked by full propagation (0 in a correct
+        /// build).
+        fallbacks: u64,
         /// Wall-clock time spent certifying.
         elapsed: Duration,
     },
@@ -367,12 +370,14 @@ impl TraceEvent {
                 kind,
                 ok,
                 steps,
+                fallbacks,
                 elapsed,
             } => {
                 w.num("query", query);
                 w.str("kind", kind);
                 w.bool("ok", ok);
                 w.num("steps", steps);
+                w.num("fallbacks", fallbacks);
                 w.num("elapsed_us", elapsed.as_micros() as u64);
             }
             TraceEvent::PatchApplied {
@@ -991,12 +996,14 @@ mod tests {
             kind: "proof",
             ok: true,
             steps: 42,
+            fallbacks: 0,
             elapsed: Duration::from_micros(250),
         };
         assert_eq!(
             e.to_json(4, 1000),
             "{\"seq\":4,\"t_us\":1000,\"ev\":\"certified\",\"query\":7,\
-             \"kind\":\"proof\",\"ok\":true,\"steps\":42,\"elapsed_us\":250}"
+             \"kind\":\"proof\",\"ok\":true,\"steps\":42,\"fallbacks\":0,\
+             \"elapsed_us\":250}"
         );
     }
 

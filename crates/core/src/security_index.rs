@@ -689,9 +689,9 @@ impl SecurityIndexAnalyzer {
         let cert = self.cert.as_mut().expect("certification state");
         let before = cert.checker.stats();
 
-        let mut steps = cert.buffer.take_steps();
+        let mut proof = cert.buffer.take_hinted();
         if cert.options.fault == Some(CertFault::CorruptProof) {
-            steps.insert(0, ProofStep::Add(Vec::new()));
+            proof.insert_unhinted(0, ProofStep::Add(Vec::new()));
         }
         let certificate = (|| {
             let mirror = self
@@ -702,11 +702,9 @@ impl SecurityIndexAnalyzer {
                 cert.checker.add_axiom(clause);
             }
             cert.mirrored = mirror.clauses.len();
-            for step in &steps {
-                cert.checker
-                    .apply(step)
-                    .map_err(|e| format!("proof replay failed: {e}"))?;
-            }
+            cert.checker
+                .replay(&proof)
+                .map_err(|e| format!("proof replay failed: {e}"))?;
 
             // The minimality half: the final bound must propagate to a
             // conflict in the independent engine.
@@ -760,7 +758,7 @@ impl SecurityIndexAnalyzer {
             };
             let path = dir.join(format!("secidx-{seq:04}.drat"));
             let mut bytes = Vec::new();
-            satcore::write_drat(&steps, &mut bytes)
+            satcore::write_drat(proof.steps(), &mut bytes)
                 .map_err(|e| format!("serializing proof for {target}: {e}"))?;
             std::fs::write(&path, bytes)
                 .map_err(|e| format!("writing proof file {}: {e}", path.display()))

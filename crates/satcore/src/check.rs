@@ -25,13 +25,26 @@
 //! The RUP fragment checked here is exactly what a CDCL solver without
 //! inprocessing emits — every learned clause follows from its reason
 //! clauses by input resolution, which unit propagation re-derives.
+//!
+//! **Hinted replay.** [`RupChecker::replay`] takes a [`HintedProof`],
+//! whose additions name their antecedents by proof id (see
+//! [`crate::proof`]). A hinted addition is validated by asserting its
+//! negation and scanning only the named clauses: a unit clause asserts
+//! its literal, a falsified one accepts the lemma, and the scan repeats
+//! until a pass makes no progress. Hints are untrusted: they are
+//! resolved through the checker's own axiom and lemma arrival counters,
+//! and the scan only reads clauses the checker itself holds, so a wrong
+//! id can at worst point at another clause the formula implies. When
+//! the scan finds no conflict — hints wrong, missing, deleted or absent
+//! — the checker falls back to full watched-literal propagation and
+//! counts the fallback. A bad hint costs time, never soundness.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::dimacs::Cnf;
 use crate::lit::{LBool, Lit};
-use crate::proof::ProofStep;
+use crate::proof::{HintedProof, ProofStep, LEMMA_ID_TAG};
 
 /// Why a certification check failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,8 +89,14 @@ impl std::error::Error for CheckError {}
 pub struct CheckStats {
     /// Proof steps applied so far.
     pub steps: u64,
-    /// Literals propagated (persistent and temporary).
+    /// Literals propagated (persistent and temporary), hinted-scan
+    /// units included.
     pub propagations: u64,
+    /// Hinted additions accepted by scanning their hints alone.
+    pub hinted: u64,
+    /// Hinted additions whose hints reached no conflict, so they were
+    /// re-checked by full propagation. Zero on solver output.
+    pub fallbacks: u64,
 }
 
 /// Checks that `model` satisfies every clause of `cnf`.
@@ -153,6 +172,66 @@ impl Hasher for KeyHasher {
 /// Marker for "no previous clause with this key" in the deletion chain.
 const NO_CLAUSE: usize = usize::MAX;
 
+/// A run of consecutive arrivals stored at consecutive clause ids.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    ordinal: u32,
+    clause: u32,
+    len: u32,
+}
+
+/// Arrival ordinal → clause id, for resolving hint ids. Arrivals come in
+/// batches (a query's axioms, then its lemmas), so a whole session
+/// takes a few runs rather than a word per clause.
+#[derive(Debug, Default)]
+struct Arrivals {
+    runs: Vec<Run>,
+    next: u32,
+}
+
+impl Arrivals {
+    /// Records the next arrival, stored at `clause` (`None`: a rejected
+    /// lemma, which stores nothing).
+    fn push(&mut self, clause: Option<u32>) {
+        let ordinal = self.next;
+        self.next = self.next.wrapping_add(1);
+        let Some(clause) = clause else {
+            return;
+        };
+        match self.runs.last_mut() {
+            Some(r) if r.ordinal + r.len == ordinal && r.clause + r.len == clause => r.len += 1,
+            _ => self.runs.push(Run {
+                ordinal,
+                clause,
+                len: 1,
+            }),
+        }
+    }
+
+    /// The clause id arrival `ordinal` was stored at, if any.
+    fn resolve(&self, ordinal: u32) -> Option<usize> {
+        let i = self
+            .runs
+            .partition_point(|r| r.ordinal <= ordinal)
+            .checked_sub(1)?;
+        let r = self.runs[i];
+        let offset = ordinal - r.ordinal;
+        (offset < r.len).then(|| (r.clause + offset) as usize)
+    }
+}
+
+/// What a hinted clause says under the current assignment.
+enum HintState {
+    /// A literal is true, or the clause was deleted: nothing to learn.
+    Done,
+    /// Every literal is false.
+    Falsified,
+    /// Exactly one literal is unassigned and none is true.
+    Unit(Lit),
+    /// Two or more literals are unassigned.
+    Open,
+}
+
 /// An incremental RUP/DRAT checker with its own propagation engine.
 ///
 /// Feed original clauses with [`add_axiom`], replay solver output with
@@ -194,6 +273,12 @@ pub struct RupChecker {
     /// Propagation over the formula alone has already hit a conflict —
     /// every clause (including the empty one) is now implied.
     root_conflict: bool,
+    /// Resolves untagged hint ids: axioms in arrival order.
+    axioms: Arrivals,
+    /// Resolves [`LEMMA_ID_TAG`]ged hint ids: lemmas in arrival order.
+    lemmas: Arrivals,
+    /// Scratch for the hinted scan's pending clause ids.
+    scan: Vec<usize>,
     stats: CheckStats,
 }
 
@@ -331,32 +416,114 @@ impl RupChecker {
         }
     }
 
-    /// Is `lits` RUP: does asserting its negation propagate to conflict?
-    fn is_rup(&mut self, lits: &[Lit]) -> bool {
+    /// The cheap cases every RUP test starts with: a refuted clause set
+    /// implies everything, and a clause with a persistently true literal
+    /// (or a tautology) is already implied.
+    fn trivially_implied(&mut self, lits: &[Lit]) -> bool {
         if self.root_conflict {
             return true;
         }
         for &l in lits {
             self.ensure_var(l);
         }
-        // A clause with a persistently true literal is already implied;
-        // a tautology always is.
-        for (i, &l) in lits.iter().enumerate() {
-            if self.value(l) == LBool::True || lits[..i].contains(&!l) {
-                return true;
-            }
+        lits.iter()
+            .enumerate()
+            .any(|(i, &l)| self.value(l) == LBool::True || lits[..i].contains(&!l))
+    }
+
+    /// Asserts the negation of `lits` on the temporary trail; returns
+    /// `true` when that alone conflicts.
+    fn assert_negation(&mut self, lits: &[Lit]) -> bool {
+        lits.iter().any(|&l| !self.assert_lit(!l))
+    }
+
+    /// Is `lits` RUP: does asserting its negation propagate to conflict?
+    fn is_rup(&mut self, lits: &[Lit]) -> bool {
+        if self.trivially_implied(lits) {
+            return true;
         }
         let mark = self.trail.len();
-        let mut conflict = false;
-        for &l in lits {
-            if !self.assert_lit(!l) {
-                conflict = true;
-                break;
-            }
-        }
-        let result = conflict || !self.propagate(false);
+        let result = self.assert_negation(lits) || !self.propagate(false);
         self.undo_to(mark);
         result
+    }
+
+    /// Is `lits` RUP by unit scans over the clauses `hints` names alone?
+    /// `false` means only that the hints did not reach a conflict.
+    fn is_hinted_rup(&mut self, lits: &[Lit], hints: &[u32]) -> bool {
+        if self.trivially_implied(lits) {
+            return true;
+        }
+        let mark = self.trail.len();
+        let result = self.assert_negation(lits) || self.scan_hints(hints);
+        self.undo_to(mark);
+        result
+    }
+
+    /// The clause id a hint names, if that arrival stored a clause.
+    fn resolve(&self, id: u32) -> Option<usize> {
+        if id & LEMMA_ID_TAG != 0 {
+            self.lemmas.resolve(id & !LEMMA_ID_TAG)
+        } else {
+            self.axioms.resolve(id)
+        }
+    }
+
+    fn hint_state(&self, ci: usize) -> HintState {
+        let Some(clause) = self.clauses[ci].as_ref() else {
+            return HintState::Done;
+        };
+        let mut unit = None;
+        for &l in clause {
+            match self.value(l) {
+                LBool::True => return HintState::Done,
+                LBool::False => {}
+                LBool::Undef if unit.is_some() => return HintState::Open,
+                LBool::Undef => unit = Some(l),
+            }
+        }
+        unit.map_or(HintState::Falsified, HintState::Unit)
+    }
+
+    /// Scans the hinted clauses under the temporary assignment, in hint
+    /// order: units assert their literal, a falsified clause is the
+    /// conflict (return `true`). Passes repeat over the still-open
+    /// clauses until one makes no progress. Only clauses this checker
+    /// stores are ever read, which is what makes the hints untrusted.
+    fn scan_hints(&mut self, hints: &[u32]) -> bool {
+        let mut pending = std::mem::take(&mut self.scan);
+        pending.clear();
+        pending.extend(hints.iter().filter_map(|&id| self.resolve(id)));
+        let mut conflict = false;
+        loop {
+            let mut progress = false;
+            let mut open = 0;
+            for k in 0..pending.len() {
+                let ci = pending[k];
+                match self.hint_state(ci) {
+                    HintState::Done => {}
+                    HintState::Falsified => {
+                        conflict = true;
+                        break;
+                    }
+                    HintState::Unit(l) => {
+                        self.assert_lit(l);
+                        self.stats.propagations += 1;
+                        progress = true;
+                    }
+                    HintState::Open => {
+                        pending[open] = ci;
+                        open += 1;
+                    }
+                }
+            }
+            if conflict || !progress {
+                break;
+            }
+            pending.truncate(open);
+        }
+        self.scan = pending;
+        conflict
     }
 
     /// Inserts a clause into the store, picks watches, and settles
@@ -368,7 +535,7 @@ impl RupChecker {
     /// watches, a falsified one is an immediate root conflict, a unit
     /// asserts its literal, and only genuinely open clauses (two or
     /// more non-false literals) enter the watch lists.
-    fn insert(&mut self, lits: &[Lit]) {
+    fn insert(&mut self, lits: &[Lit]) -> u32 {
         // Store with duplicate literals removed, so a clause like
         // (u ∨ u ∨ f) cannot end up watching the same literal twice.
         // Deduplication cannot change a clause's semantics.
@@ -425,7 +592,7 @@ impl RupChecker {
         self.clauses.push(Some(stored));
         self.locked.push(false);
         if self.root_conflict || satisfied || watchable {
-            return;
+            return ci as u32;
         }
         match (open, first) {
             (0, _) => self.root_conflict = true,
@@ -440,24 +607,62 @@ impl RupChecker {
             }
             _ => unreachable!("open >= 2 is watchable"),
         }
+        ci as u32
     }
 
-    /// Adds an original (axiom) clause, no RUP check.
+    /// Adds an original (axiom) clause, no RUP check. Its arrival
+    /// ordinal is its proof id.
     pub fn add_axiom(&mut self, lits: &[Lit]) {
-        self.insert(lits);
+        let ci = self.insert(lits);
+        self.axioms.push(Some(ci));
     }
 
-    /// Applies one proof step: additions must be RUP, deletions remove
-    /// one matching clause (reason-locked clauses are kept).
+    /// Applies one proof step: additions must be RUP (checked by full
+    /// propagation), deletions remove one matching clause
+    /// (reason-locked clauses are kept).
     pub fn apply(&mut self, step: &ProofStep) -> Result<(), CheckError> {
+        self.apply_step(step, None)
+    }
+
+    /// Applies one proof step, validating an addition by scanning the
+    /// clauses `hints` names first and falling back to full propagation
+    /// (counted in [`CheckStats::fallbacks`]) when they reach no
+    /// conflict. Accepts exactly the steps [`apply`](Self::apply) does.
+    pub fn apply_hinted(&mut self, step: &ProofStep, hints: &[u32]) -> Result<(), CheckError> {
+        self.apply_step(step, Some(hints))
+    }
+
+    /// Applies every step of `proof` with its hints, stopping at the
+    /// first rejected one.
+    pub fn replay(&mut self, proof: &HintedProof) -> Result<(), CheckError> {
+        for (i, step) in proof.steps().iter().enumerate() {
+            self.apply_hinted(step, proof.hints(i))?;
+        }
+        Ok(())
+    }
+
+    fn apply_step(&mut self, step: &ProofStep, hints: Option<&[u32]>) -> Result<(), CheckError> {
         let index = self.stats.steps as usize;
         self.stats.steps += 1;
         match step {
             ProofStep::Add(lits) => {
-                if !self.is_rup(lits) {
+                let rup = match hints {
+                    None => self.is_rup(lits),
+                    Some(hints) if self.is_hinted_rup(lits, hints) => {
+                        self.stats.hinted += 1;
+                        true
+                    }
+                    Some(_) => {
+                        self.stats.fallbacks += 1;
+                        self.is_rup(lits)
+                    }
+                };
+                if !rup {
+                    self.lemmas.push(None);
                     return Err(CheckError::NotRup { step: index });
                 }
-                self.insert(lits);
+                let ci = self.insert(lits);
+                self.lemmas.push(Some(ci));
                 Ok(())
             }
             ProofStep::Delete(lits) => {
@@ -505,13 +710,31 @@ pub fn check_unsat_proof(
     proof: &[ProofStep],
     assumptions: &[Lit],
 ) -> Result<CheckStats, CheckError> {
+    check_batch(cnf, assumptions, |checker| {
+        proof.iter().try_for_each(|step| checker.apply(step))
+    })
+}
+
+/// [`check_unsat_proof`] for a hinted proof: each addition is validated
+/// from its hints, with full propagation only as the fallback.
+pub fn check_hinted_proof(
+    cnf: &Cnf,
+    proof: &HintedProof,
+    assumptions: &[Lit],
+) -> Result<CheckStats, CheckError> {
+    check_batch(cnf, assumptions, |checker| checker.replay(proof))
+}
+
+fn check_batch(
+    cnf: &Cnf,
+    assumptions: &[Lit],
+    replay: impl FnOnce(&mut RupChecker) -> Result<(), CheckError>,
+) -> Result<CheckStats, CheckError> {
     let mut checker = RupChecker::new();
     for clause in &cnf.clauses {
         checker.add_axiom(clause);
     }
-    for step in proof {
-        checker.apply(step)?;
-    }
+    replay(&mut checker)?;
     if !checker.refutes(assumptions) {
         return Err(CheckError::NotRefuted);
     }
@@ -650,6 +873,126 @@ mod tests {
             Err(CheckError::NotRup { step: 0 })
         );
         assert!(!checker.root_conflict());
+    }
+
+    fn checker_over(f: &Cnf) -> RupChecker {
+        let mut checker = RupChecker::new();
+        for c in &f.clauses {
+            checker.add_axiom(c);
+        }
+        checker
+    }
+
+    #[test]
+    fn hinted_lemmas_chain_through_lemma_ids() {
+        // (1∨2)(1∨¬2)(¬1∨2)(¬1∨¬2): (1) follows from axioms 0 and 1,
+        // and the empty clause from lemma 0 with axioms 2 and 3.
+        let f = cnf(&[&[1, 2], &[1, -2], &[-1, 2], &[-1, -2]]);
+        let mut checker = checker_over(&f);
+        checker
+            .apply_hinted(&ProofStep::Add(vec![lit(1)]), &[0, 1])
+            .unwrap();
+        checker
+            .apply_hinted(&ProofStep::Add(vec![]), &[LEMMA_ID_TAG, 2, 3])
+            .unwrap();
+        let stats = checker.stats();
+        assert_eq!((stats.hinted, stats.fallbacks), (2, 0));
+        assert!(checker.refutes(&[]));
+    }
+
+    #[test]
+    fn hints_naming_real_clauses_cannot_admit_a_non_rup_lemma() {
+        // (¬1) does not follow from (1∨2)(¬2∨3); hints naming both
+        // clauses (and a lemma id that does not exist) change nothing.
+        let f = cnf(&[&[1, 2], &[-2, 3]]);
+        let mut checker = checker_over(&f);
+        assert_eq!(
+            checker.apply_hinted(&ProofStep::Add(vec![lit(-1)]), &[0, 1, LEMMA_ID_TAG]),
+            Err(CheckError::NotRup { step: 0 })
+        );
+        assert_eq!(checker.stats().fallbacks, 1);
+        // A rejected lemma stores nothing: a later hint naming it
+        // resolves to no clause, and the empty clause stays non-RUP.
+        assert_eq!(
+            checker.apply_hinted(&ProofStep::Add(vec![]), &[LEMMA_ID_TAG, 0, 1]),
+            Err(CheckError::NotRup { step: 1 })
+        );
+    }
+
+    #[test]
+    fn bad_hints_fall_back_to_full_propagation() {
+        // (¬1∨3) follows from axioms 0,1 (through 2) and from axioms
+        // 2,3 (through 4).
+        let f = cnf(&[&[-1, 2], &[-2, 3], &[-1, 4], &[-4, 3]]);
+        let lemma = ProofStep::Add(vec![lit(-1), lit(3)]);
+        let accepted = |hints: &[u32], delete: Option<&[i64]>| {
+            let mut checker = checker_over(&f);
+            if let Some(clause) = delete {
+                let lits = clause.iter().map(|&n| lit(n)).collect();
+                checker.apply(&ProofStep::Delete(lits)).unwrap();
+            }
+            let before = checker.stats();
+            checker.apply_hinted(&lemma, hints).expect("valid lemma");
+            let after = checker.stats();
+            (
+                after.hinted - before.hinted,
+                after.fallbacks - before.fallbacks,
+            )
+        };
+        assert_eq!(accepted(&[0, 1], None), (1, 0), "good hints");
+        assert_eq!(accepted(&[4, 99], None), (0, 1), "axiom ids out of range");
+        assert_eq!(
+            accepted(&[LEMMA_ID_TAG | 7], None),
+            (0, 1),
+            "lemma id out of range"
+        );
+        assert_eq!(accepted(&[0, 1], Some(&[-2, 3])), (0, 1), "deleted hint");
+        assert_eq!(accepted(&[], None), (0, 1), "no hints");
+        assert_eq!(accepted(&[0], None), (0, 1), "hints stop short");
+        // Out of propagation order the repeated scan still gets there,
+        // one extra pass later — order costs time, not acceptance.
+        assert_eq!(accepted(&[1, 0], None), (1, 0), "reordered hints");
+        assert_eq!(accepted(&[3, 1, 2, 0], None), (1, 0), "reordered hints");
+    }
+
+    #[test]
+    fn hinted_replay_of_solver_output_never_falls_back() {
+        // Pigeonhole 6→5 needs hundreds of lemmas, minimized ones among
+        // them; both replays must accept, the hinted one unaided.
+        let (holes, pigeons) = (5usize, 6usize);
+        let mut f = Cnf {
+            num_vars: holes * pigeons,
+            clauses: Vec::new(),
+        };
+        let v = |p: usize, h: usize| Var::from_index(p * holes + h);
+        for p in 0..pigeons {
+            f.clauses
+                .push((0..holes).map(|h| v(p, h).positive()).collect());
+        }
+        for h in 0..holes {
+            for p1 in 0..pigeons {
+                for p2 in (p1 + 1)..pigeons {
+                    f.clauses
+                        .push(vec![v(p1, h).negative(), v(p2, h).negative()]);
+                }
+            }
+        }
+        let mut solver = crate::Solver::new();
+        let buffer = crate::ProofBuffer::new();
+        solver.set_proof_sink(Some(Box::new(buffer.clone())));
+        f.load_into(&mut solver);
+        assert_eq!(solver.solve(), crate::SolveResult::Unsat);
+        let proof = buffer.take_hinted();
+        let hinted = check_hinted_proof(&f, &proof, &[]).expect("hinted replay");
+        assert_eq!(hinted.fallbacks, 0);
+        assert!(hinted.hinted > 100, "{hinted:?}");
+        let plain = check_unsat_proof(&f, proof.steps(), &[]).expect("plain replay");
+        assert!(
+            hinted.propagations < plain.propagations,
+            "hinted {} vs plain {}",
+            hinted.propagations,
+            plain.propagations
+        );
     }
 
     #[test]

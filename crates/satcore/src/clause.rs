@@ -6,6 +6,10 @@
 
 use crate::lit::Lit;
 
+/// Proof id of a clause stored while no proof sink was installed: no
+/// checker can resolve it, so a hint naming it costs a fallback.
+pub(crate) const NO_PROOF_ID: u32 = u32::MAX;
+
 /// An index into the clause arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClauseRef(pub(crate) u32);
@@ -23,8 +27,13 @@ pub struct Clause {
     pub(crate) lits: Vec<Lit>,
     /// Activity for the deletion heuristic (learnt clauses only).
     pub(crate) activity: f64,
-    /// Literal block distance at learning time (learnt clauses only).
-    pub(crate) lbd: u32,
+    /// Literal block distance at learning time (learnt clauses only),
+    /// saturating: only its order and `> 2` matter.
+    pub(crate) lbd: u16,
+    /// The clause's id in the emitted proof ([`NO_PROOF_ID`] when no
+    /// proof sink was installed). Fits in the padding the narrow `lbd`
+    /// frees.
+    pub(crate) proof_id: u32,
     pub(crate) learnt: bool,
     pub(crate) deleted: bool,
 }
@@ -35,6 +44,7 @@ impl Clause {
             lits,
             activity: 0.0,
             lbd: 0,
+            proof_id: NO_PROOF_ID,
             learnt,
             deleted: false,
         }
@@ -143,6 +153,12 @@ mod tests {
                 v.lit(i >= 0)
             })
             .collect()
+    }
+
+    #[test]
+    fn clause_header_stays_compact() {
+        // The proof id must not grow the arena for uncertified solves.
+        assert!(std::mem::size_of::<Clause>() <= 40);
     }
 
     #[test]

@@ -134,6 +134,17 @@ pub fn parse_dimacs<R: BufRead>(reader: R) -> Result<Cnf, ParseDimacsError> {
                     message: "bad variable count".into(),
                 }
             })?;
+            // Literals pack the variable index into 31 bits; a larger
+            // count would alias high variables onto low ones.
+            if nv > Var::MAX_INDEX + 1 {
+                return Err(ParseDimacsError::Syntax {
+                    line: line_num,
+                    message: format!(
+                        "variable count {nv} exceeds the maximum {}",
+                        Var::MAX_INDEX + 1
+                    ),
+                });
+            }
             // The clause count is required by the format. It is not used
             // to cross-check the body (solvers traditionally don't), but
             // a header without it is a different formula family and must
@@ -260,6 +271,27 @@ mod tests {
             }
             other => panic!("expected syntax error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn parse_rejects_unrepresentable_variables() {
+        // Satisfiable as written; truncating variable 2147483649 to 32
+        // bits would alias it onto x1 and read (x1)(¬x1).
+        let text = "p cnf 2147483650 2\n2147483649 0\n-1 0\n";
+        match parse_dimacs(text.as_bytes()).unwrap_err() {
+            ParseDimacsError::Syntax { line, message } => {
+                assert_eq!(line, 1);
+                assert!(message.contains("exceeds the maximum"), "{message}");
+            }
+            other => panic!("expected syntax error, got {other:?}"),
+        }
+        // The largest representable variable still parses.
+        let max = Var::MAX_INDEX + 1;
+        let cnf = parse_dimacs(format!("p cnf {max} 1\n-{max} 0\n").as_bytes()).unwrap();
+        assert_eq!(
+            cnf.clauses[0][0],
+            Var::from_index(Var::MAX_INDEX).negative()
+        );
     }
 
     #[test]

@@ -25,10 +25,15 @@ use std::ops::Not;
 pub struct Var(u32);
 
 impl Var {
+    /// The largest index a variable can have: a literal packs
+    /// `index * 2 + negated` into a `u32`. As a DIMACS number this is
+    /// variable `i32::MAX`; parsers reject anything above it.
+    pub const MAX_INDEX: usize = i32::MAX as usize - 1;
+
     /// Creates a variable from its dense index.
     #[inline]
     pub fn from_index(index: usize) -> Var {
-        debug_assert!(index < u32::MAX as usize / 2);
+        debug_assert!(index <= Var::MAX_INDEX);
         Var(index as u32)
     }
 

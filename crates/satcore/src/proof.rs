@@ -14,6 +14,14 @@
 //! deadline-bounded solve never leaves a torn line behind), and
 //! [`ProofBuffer`] accumulates [`ProofStep`]s in memory for in-process
 //! checking with [`crate::check`].
+//!
+//! The solver also names each addition's *antecedents*: the proof ids of
+//! the clauses its conflict analysis resolved, in propagation order (the
+//! LRAT idea). An axiom's id is its index among the clauses handed to
+//! the solver; a lemma's id is its ordinal among the emitted additions,
+//! tagged with [`LEMMA_ID_TAG`]. Hints never reach the DRAT text — only
+//! [`ProofBuffer`] keeps them, in a [`HintedProof`], so the in-process
+//! checker can validate a lemma by scanning those clauses alone.
 
 use std::fmt::Write as _;
 use std::fs::File;
@@ -21,7 +29,7 @@ use std::io::{self, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use crate::lit::Lit;
+use crate::lit::{Lit, Var};
 
 /// One step of a DRAT proof.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,6 +40,10 @@ pub enum ProofStep {
     /// A clause deletion (`d` line).
     Delete(Vec<Lit>),
 }
+
+/// Marks a proof id as a lemma id: the low 31 bits are then the lemma's
+/// ordinal among the proof's additions. Untagged ids are axiom indices.
+pub const LEMMA_ID_TAG: u32 = 1 << 31;
 
 /// A sink for proof steps, hooked into the CDCL loop.
 ///
@@ -45,6 +57,13 @@ pub enum ProofStep {
 pub trait ProofSink: Send {
     /// Records the addition of `lits` (empty slice = the empty clause).
     fn add_clause(&mut self, lits: &[Lit]);
+    /// Records the addition of `lits` together with the proof ids of
+    /// its antecedents. Hints are advisory; the default drops them, so
+    /// file sinks stay plain DRAT.
+    fn add_clause_hinted(&mut self, lits: &[Lit], hints: &[u32]) {
+        let _ = hints;
+        self.add_clause(lits);
+    }
     /// Records the deletion of `lits`.
     fn delete_clause(&mut self, lits: &[Lit]);
     /// Makes everything recorded so far durable.
@@ -173,15 +192,70 @@ impl<W: ProofOut> ProofSink for DratWriter<W> {
     }
 }
 
+/// Proof steps together with the antecedent hints of each addition.
+///
+/// Hints are stored flat (one `u32` per id), so a drained proof costs
+/// one allocation for all its hints rather than one per step.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HintedProof {
+    steps: Vec<ProofStep>,
+    /// Per step, the end of its hints in `hints`.
+    ends: Vec<u32>,
+    hints: Vec<u32>,
+}
+
+impl HintedProof {
+    /// Appends a step with its hints (deletions carry none).
+    fn push(&mut self, step: ProofStep, hints: &[u32]) {
+        self.hints.extend_from_slice(hints);
+        self.steps.push(step);
+        self.ends.push(self.hints.len() as u32);
+    }
+
+    /// Inserts a step without hints before position `index`.
+    pub fn insert_unhinted(&mut self, index: usize, step: ProofStep) {
+        let start = if index == 0 { 0 } else { self.ends[index - 1] };
+        self.steps.insert(index, step);
+        self.ends.insert(index, start);
+    }
+
+    /// The steps, in emission order: plain DRAT.
+    pub fn steps(&self) -> &[ProofStep] {
+        &self.steps
+    }
+
+    /// The hints of step `index` (empty when it has none or is out of
+    /// range).
+    pub fn hints(&self, index: usize) -> &[u32] {
+        let Some(&end) = self.ends.get(index) else {
+            return &[];
+        };
+        let start = if index == 0 { 0 } else { self.ends[index - 1] };
+        &self.hints[start as usize..end as usize]
+    }
+
+    /// The number of steps.
+    pub fn len(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// Whether there are no steps.
+    pub fn is_empty(&self) -> bool {
+        self.steps.is_empty()
+    }
+}
+
 /// An in-memory proof sink shared between the solver and a checker.
 ///
-/// Cloning is cheap (the step list is behind an `Arc<Mutex<..>>`), so
-/// the caller can keep one handle and install the other on the solver,
-/// then [`take_steps`](ProofBuffer::take_steps) after each solve to
-/// feed an incremental [`crate::check::RupChecker`].
+/// Cloning is cheap (the proof is behind an `Arc<Mutex<..>>`), so the
+/// caller can keep one handle and install the other on the solver, then
+/// drain it after each solve to feed an incremental
+/// [`crate::check::RupChecker`]: [`take_hinted`](ProofBuffer::take_hinted)
+/// for hinted replay, [`take_steps`](ProofBuffer::take_steps) for the
+/// plain DRAT steps.
 #[derive(Debug, Clone, Default)]
 pub struct ProofBuffer {
-    steps: Arc<Mutex<Vec<ProofStep>>>,
+    proof: Arc<Mutex<HintedProof>>,
 }
 
 impl ProofBuffer {
@@ -190,14 +264,21 @@ impl ProofBuffer {
         ProofBuffer::default()
     }
 
-    /// Drains and returns all steps recorded since the last call.
+    /// Drains and returns all steps recorded since the last call,
+    /// dropping their hints.
     pub fn take_steps(&self) -> Vec<ProofStep> {
-        std::mem::take(&mut *self.steps.lock().unwrap())
+        self.take_hinted().steps
+    }
+
+    /// Drains and returns all steps recorded since the last call, with
+    /// their hints.
+    pub fn take_hinted(&self) -> HintedProof {
+        std::mem::take(&mut *self.proof.lock().unwrap())
     }
 
     /// The number of steps currently buffered.
     pub fn len(&self) -> usize {
-        self.steps.lock().unwrap().len()
+        self.proof.lock().unwrap().len()
     }
 
     /// Whether no steps are buffered.
@@ -208,17 +289,21 @@ impl ProofBuffer {
 
 impl ProofSink for ProofBuffer {
     fn add_clause(&mut self, lits: &[Lit]) {
-        self.steps
+        self.add_clause_hinted(lits, &[]);
+    }
+
+    fn add_clause_hinted(&mut self, lits: &[Lit], hints: &[u32]) {
+        self.proof
             .lock()
             .unwrap()
-            .push(ProofStep::Add(lits.to_vec()));
+            .push(ProofStep::Add(lits.to_vec()), hints);
     }
 
     fn delete_clause(&mut self, lits: &[Lit]) {
-        self.steps
+        self.proof
             .lock()
             .unwrap()
-            .push(ProofStep::Delete(lits.to_vec()));
+            .push(ProofStep::Delete(lits.to_vec()), &[]);
     }
 }
 
@@ -267,10 +352,17 @@ pub fn parse_drat(text: &str) -> Result<Vec<ProofStep>, String> {
             let n: i64 = tok
                 .parse()
                 .map_err(|_| format!("line {}: bad literal {tok:?}", lineno + 1))?;
+            if n.unsigned_abs() > Var::MAX_INDEX as u64 + 1 {
+                return Err(format!(
+                    "line {}: literal {n} exceeds the maximum variable {}",
+                    lineno + 1,
+                    Var::MAX_INDEX + 1
+                ));
+            }
             if n == 0 {
                 terminated = true;
             } else {
-                let var = crate::lit::Var::from_index((n.unsigned_abs() - 1) as usize);
+                let var = Var::from_index((n.unsigned_abs() - 1) as usize);
                 lits.push(var.lit(n > 0));
             }
         }
@@ -289,7 +381,6 @@ pub fn parse_drat(text: &str) -> Result<Vec<ProofStep>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lit::Var;
 
     fn lit(n: i64) -> Lit {
         Var::from_index((n.unsigned_abs() - 1) as usize).lit(n > 0)
@@ -327,6 +418,25 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_unrepresentable_variables() {
+        // Truncating 2147483649 to 32 bits would alias it onto x1.
+        let err = parse_drat("1 0\n2147483649 0\n").unwrap_err();
+        assert!(
+            err.starts_with("line 2:") && err.contains("exceeds"),
+            "{err}"
+        );
+        assert!(parse_drat("d -2147483649 0\n").is_err());
+        let max = Var::MAX_INDEX as i64 + 1;
+        let steps = parse_drat(&format!("-{max} 0\n")).unwrap();
+        assert_eq!(
+            steps,
+            vec![ProofStep::Add(vec![
+                Var::from_index(Var::MAX_INDEX).negative()
+            ])]
+        );
+    }
+
+    #[test]
     fn parse_skips_comments_and_blanks() {
         let steps = parse_drat("c a comment\n\n1 0\n").unwrap();
         assert_eq!(steps, vec![ProofStep::Add(vec![lit(1)])]);
@@ -350,6 +460,32 @@ mod tests {
         assert!(buf.is_empty());
         handle.add_clause(&[]);
         assert_eq!(buf.take_steps(), vec![ProofStep::Add(vec![])]);
+    }
+
+    #[test]
+    fn buffer_keeps_hints_beside_steps() {
+        let buf = ProofBuffer::new();
+        let mut handle = buf.clone();
+        handle.add_clause_hinted(&[lit(1)], &[0, 2]);
+        handle.delete_clause(&[lit(2)]);
+        handle.add_clause(&[lit(-3)]);
+        handle.add_clause_hinted(&[], &[LEMMA_ID_TAG, 1]);
+        let mut proof = buf.take_hinted();
+        assert!(buf.is_empty());
+        assert_eq!(proof.len(), 4);
+        assert_eq!(proof.hints(0), &[0, 2]);
+        assert!(proof.hints(1).is_empty() && proof.hints(2).is_empty());
+        assert_eq!(proof.hints(3), &[LEMMA_ID_TAG, 1]);
+        assert!(proof.hints(4).is_empty(), "out of range reads empty");
+        proof.insert_unhinted(0, ProofStep::Add(vec![]));
+        assert_eq!(proof.steps()[0], ProofStep::Add(vec![]));
+        assert!(proof.hints(0).is_empty());
+        assert_eq!(proof.hints(1), &[0, 2]);
+        assert_eq!(proof.hints(4), &[LEMMA_ID_TAG, 1]);
+        // The default sink method drops hints: DRAT text is unchanged.
+        let mut w = DratWriter::new(Vec::new());
+        w.add_clause_hinted(&[lit(1)], &[7, 8]);
+        assert_eq!(w.into_inner().unwrap(), b"1 0\n");
     }
 
     #[test]

@@ -13,11 +13,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::clause::{Clause, ClauseDb, ClauseRef};
+use crate::clause::{Clause, ClauseDb, ClauseRef, NO_PROOF_ID};
 use crate::dimacs::Cnf;
 use crate::heap::VarHeap;
 use crate::lit::{LBool, Lit, Var};
-use crate::proof::ProofSink;
+use crate::proof::{ProofSink, LEMMA_ID_TAG};
 
 /// The result of a solve call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,8 +179,18 @@ pub struct Solver {
     model: Vec<LBool>,
     /// Optional DRAT proof sink; every learnt clause, add-time
     /// simplification, clause deletion, and the final (empty or
-    /// assumption-core) clause is emitted here.
+    /// assumption-core) clause is emitted here, additions with hints.
     proof: Option<ProofHook>,
+    /// Clauses handed to the solver so far: the next axiom's proof id
+    /// (its mirror index when mirroring is on from the start).
+    axioms_added: u32,
+    /// Additions emitted so far: the next lemma's ordinal.
+    lemmas_emitted: u32,
+    /// Antecedent hints of the next addition, in propagation order.
+    hints: Vec<u32>,
+    /// Scratch for conflict analysis: (level, proof id) of the reasons
+    /// of literals removed by minimization.
+    removed_reasons: Vec<(u32, u32)>,
     /// Optional verbatim copy of every clause handed to the solver,
     /// pre-simplification — the formula an independent checker audits
     /// verdicts against.
@@ -226,6 +236,10 @@ impl Solver {
             conflict_core: Vec::new(),
             model: Vec::new(),
             proof: None,
+            axioms_added: 0,
+            lemmas_emitted: 0,
+            hints: Vec::new(),
+            removed_reasons: Vec::new(),
             mirror: None,
         }
     }
@@ -262,11 +276,34 @@ impl Solver {
         self.mirror.as_ref()
     }
 
+    /// Emits an addition whose antecedents are in `self.hints`,
+    /// returning its proof id.
     #[inline]
-    fn emit_add(&mut self, lits: &[Lit]) {
-        if let Some(p) = self.proof.as_mut() {
-            p.0.add_clause(lits);
+    fn emit_add(&mut self, lits: &[Lit]) -> u32 {
+        let Some(p) = self.proof.as_mut() else {
+            return NO_PROOF_ID;
+        };
+        p.0.add_clause_hinted(lits, &self.hints);
+        let id = LEMMA_ID_TAG | self.lemmas_emitted;
+        self.lemmas_emitted += 1;
+        id
+    }
+
+    /// Emits an addition with the single antecedent `hint`.
+    fn emit_add_from(&mut self, lits: &[Lit], hint: u32) -> u32 {
+        if self.proof.is_none() {
+            return NO_PROOF_ID;
         }
+        self.hints.clear();
+        self.hints.push(hint);
+        self.emit_add(lits)
+    }
+
+    /// The proof id of a stored clause (see [`crate::proof`] for the
+    /// id scheme).
+    #[inline]
+    fn proof_id(&self, cref: ClauseRef) -> u32 {
+        self.db.get(cref).proof_id
     }
 
     #[inline]
@@ -278,11 +315,18 @@ impl Solver {
 
     /// Marks the instance permanently unsat, emitting the empty clause
     /// to the proof exactly once (at the `ok` true→false transition).
-    fn set_unsat(&mut self) {
+    /// `antecedent` is the proof id of a clause falsified at level 0.
+    fn set_unsat(&mut self, antecedent: u32) {
         if self.ok {
             self.ok = false;
-            self.emit_add(&[]);
+            self.emit_add_from(&[], antecedent);
         }
+    }
+
+    /// [`set_unsat`](Self::set_unsat) after `confl` conflicted at level 0.
+    fn set_unsat_by(&mut self, confl: ClauseRef) {
+        let id = self.proof_id(confl);
+        self.set_unsat(id);
     }
 
     /// Flushes the proof sink and passes `r` through; called on every
@@ -453,6 +497,8 @@ impl Solver {
     /// makes the instance unsatisfiable.
     pub fn add_clause_checked(&mut self, lits: &[Lit]) -> bool {
         debug_assert_eq!(self.decision_level(), 0);
+        let axiom_id = self.axioms_added;
+        self.axioms_added = self.axioms_added.wrapping_add(1);
         // Mirror verbatim even when already unsat, so the mirror always
         // equals the full formula the caller defined.
         if let Some(mirror) = self.mirror.as_mut() {
@@ -485,26 +531,30 @@ impl Solver {
         // A clause shrunk by level-0 simplification no longer matches
         // what the caller added; emit the shrunk form as a proof step
         // (it is RUP: the stripped literals are all falsified by units
-        // the checker has already propagated).
+        // the checker has already propagated). Its antecedent is the
+        // axiom it shrinks, and it stands for that axiom from now on.
+        let mut id = axiom_id;
         if out.len() < c.len() && !out.is_empty() {
-            self.emit_add(&out);
+            id = self.emit_add_from(&out, axiom_id);
         }
         match out.len() {
             0 => {
-                self.set_unsat();
+                self.set_unsat(axiom_id);
                 false
             }
             1 => {
                 self.unchecked_enqueue(out[0], None);
-                if self.propagate().is_some() {
-                    self.set_unsat();
+                if let Some(confl) = self.propagate() {
+                    self.set_unsat_by(confl);
                     false
                 } else {
                     true
                 }
             }
             _ => {
-                let cref = self.db.push(Clause::new(out, false));
+                let mut clause = Clause::new(out, false);
+                clause.proof_id = id;
+                let cref = self.db.push(clause);
                 self.attach(cref);
                 true
             }
@@ -668,14 +718,24 @@ impl Solver {
     }
 
     /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backtrack level.
+    /// literal first) and the backtrack level. With a proof sink, also
+    /// leaves the learnt clause's antecedents in `self.hints`.
     fn analyze(&mut self, mut confl: ClauseRef) -> (Vec<Lit>, u32) {
         let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder slot 0
         let mut path_count: u32 = 0;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
+        let hinting = self.proof.is_some();
+        if hinting {
+            self.hints.clear();
+            self.removed_reasons.clear();
+        }
 
         loop {
+            if hinting {
+                // The conflict, then reasons in descending trail order.
+                self.hints.push(self.proof_id(confl));
+            }
             if self.db.get(confl).learnt {
                 self.clause_bump(confl);
             }
@@ -729,8 +789,22 @@ impl Solver {
                 }
                 if redundant {
                     keep[idx] = false;
+                    if hinting {
+                        let entry = (self.level(l.var()), self.proof_id(r));
+                        self.removed_reasons.push(entry);
+                    }
                 }
             }
+        }
+        if hinting {
+            // Propagation order: the removed literals' reasons (lowest
+            // level first), the resolved reasons in ascending trail
+            // order, the conflict clause last. Level-0 literals need no
+            // antecedent: the checker's root assignment holds them.
+            self.hints.reverse();
+            self.removed_reasons.sort_by_key(|&(level, _)| level);
+            self.hints
+                .splice(0..0, self.removed_reasons.iter().map(|&(_, id)| id));
         }
         let learnt: Vec<Lit> = learnt
             .into_iter()
@@ -759,15 +833,15 @@ impl Solver {
         (learnt, bt_level)
     }
 
-    fn lbd_of(&self, lits: &[Lit]) -> u32 {
+    fn lbd_of(&self, lits: &[Lit]) -> u16 {
         let mut levels: Vec<u32> = lits.iter().map(|l| self.level(l.var())).collect();
         levels.sort_unstable();
         levels.dedup();
-        levels.len() as u32
+        levels.len().min(u16::MAX as usize) as u16
     }
 
     fn record_learnt(&mut self, learnt: Vec<Lit>) {
-        self.emit_add(&learnt);
+        let id = self.emit_add(&learnt);
         self.stats.learnt_clauses = self.db.num_learnt as u64 + 1;
         if learnt.len() == 1 {
             self.unchecked_enqueue(learnt[0], None);
@@ -786,8 +860,10 @@ impl Solver {
         lits.swap(1, max_i);
         let lbd = self.lbd_of(&lits);
         let asserting = lits[0];
-        let cref = self.db.push(Clause::new(lits, true));
-        self.db.get_mut(cref).lbd = lbd;
+        let mut clause = Clause::new(lits, true);
+        clause.lbd = lbd;
+        clause.proof_id = id;
+        let cref = self.db.push(clause);
         self.attach(cref);
         self.clause_bump(cref);
         self.learnts.push(cref);
@@ -848,10 +924,15 @@ impl Solver {
 
     /// Computes the subset of assumptions responsible for falsifying
     /// assumption `a` (analyzeFinal in MiniSat). The core stores the
-    /// assumption literals themselves.
+    /// assumption literals themselves. With a proof sink, the reasons
+    /// walked are left in `self.hints` in ascending trail order.
     fn analyze_final(&mut self, a: Lit) {
         self.conflict_core.clear();
         self.conflict_core.push(a);
+        let hinting = self.proof.is_some();
+        if hinting {
+            self.hints.clear();
+        }
         if self.decision_level() == 0 {
             return;
         }
@@ -868,6 +949,9 @@ impl Solver {
                     self.conflict_core.push(self.trail[i]);
                 }
                 Some(r) => {
+                    if hinting {
+                        self.hints.push(self.proof_id(r));
+                    }
                     let n = self.db.get(r).len();
                     for k in 1..n {
                         let q = self.db.get(r).lits[k];
@@ -880,6 +964,9 @@ impl Solver {
             self.seen[v.index()] = false;
         }
         self.seen[a.var().index()] = false;
+        if hinting {
+            self.hints.reverse();
+        }
     }
 
     /// Solves the current formula.
@@ -898,8 +985,8 @@ impl Solver {
             return self.finish(SolveResult::Unsat);
         }
         self.cancel_until(0);
-        if self.propagate().is_some() {
-            self.set_unsat();
+        if let Some(confl) = self.propagate() {
+            self.set_unsat_by(confl);
             return self.finish(SolveResult::Unsat);
         }
 
@@ -923,7 +1010,7 @@ impl Solver {
                     // A conflict with no decisions refutes the formula
                     // itself (learnt clauses never resolve on assumption
                     // decisions), so the instance is permanently unsat.
-                    self.set_unsat();
+                    self.set_unsat_by(confl);
                     self.conflict_core.clear();
                     self.cancel_until(0);
                     return self.finish(SolveResult::Unsat);

@@ -2,15 +2,18 @@
 //! solver must agree with the exhaustive brute-force reference, *and*
 //! every verdict must carry an independently checked certificate — sat
 //! models re-validated by [`check_model`], unsat runs re-derived by the
-//! RUP checker from the emitted DRAT proof. The DRAT text round-trip
+//! RUP checker from the emitted DRAT proof. Proofs replay *hinted*
+//! (each lemma validated from the antecedents the solver named) with
+//! zero fallbacks to full propagation, and the hint-free replay accepts
+//! every proof the hinted one does. The DRAT text round-trip
 //! (`DratWriter` → `parse_drat`) is fuzzed on the same instances, so
 //! the on-disk format is pinned by the same cases CI replays.
 
 use proptest::prelude::*;
 use satcore::bruteforce::solve_brute_force;
 use satcore::{
-    check_model, check_unsat_proof, parse_drat, CheckError, Cnf, DratWriter, Lit, ProofBuffer,
-    ProofSink, ProofStep, RupChecker, SolveResult, Solver, Var,
+    check_hinted_proof, check_model, check_unsat_proof, parse_drat, CheckError, Cnf, DratWriter,
+    Lit, ProofBuffer, ProofSink, ProofStep, RupChecker, SolveResult, Solver, Var,
 };
 
 /// Strategy producing a random CNF with up to `max_vars` variables.
@@ -42,12 +45,80 @@ fn solve_certified(cnf: &Cnf) -> (SolveResult, Solver, ProofBuffer) {
     (r, s, buffer)
 }
 
+/// Strategy producing random 3-CNF at the satisfiability threshold
+/// (4.3 clauses per variable): too large for brute force, but hard
+/// enough that conflict analysis resolves long chains and minimizes.
+fn arb_threshold_3cnf() -> impl Strategy<Value = Cnf> {
+    (30usize..=45).prop_flat_map(|nv| {
+        let clause =
+            proptest::collection::vec((0..nv, any::<bool>()), 3..=3).prop_map(|lits| -> Vec<Lit> {
+                lits.into_iter()
+                    .map(|(v, pos)| Var::from_index(v).lit(pos))
+                    .collect()
+            });
+        let m = nv * 43 / 10;
+        proptest::collection::vec(clause, m..=m).prop_map(move |clauses| Cnf {
+            num_vars: nv,
+            clauses,
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Hinted replay of real search — single-shot, then incremental
+    /// queries under assumptions on the same solver — never falls back
+    /// to full propagation, and the hint-free replay accepts the same
+    /// proof.
+    #[test]
+    fn threshold_3cnf_replays_hinted_without_fallback(
+        cnf in arb_threshold_3cnf(),
+        pols in proptest::collection::vec(proptest::collection::vec(any::<bool>(), 4), 3),
+    ) {
+        let mut s = Solver::new();
+        let buffer = ProofBuffer::new();
+        s.set_proof_sink(Some(Box::new(buffer.clone())));
+        s.set_clause_mirror(true);
+        let vars = cnf.load_into(&mut s);
+        let mut checker = RupChecker::new();
+        let mut plain = RupChecker::new();
+        for clause in &cnf.clauses {
+            checker.add_axiom(clause);
+            plain.add_axiom(clause);
+        }
+        let queries = std::iter::once(Vec::new()).chain(pols.iter().map(|pol| {
+            pol.iter().enumerate().map(|(i, &p)| vars[i * 7].lit(p)).collect::<Vec<Lit>>()
+        }));
+        for assumptions in queries {
+            let verdict = s.solve_with_assumptions(&assumptions);
+            let proof = buffer.take_hinted();
+            checker.replay(&proof).expect("every emitted step is RUP");
+            for step in proof.steps() {
+                plain.apply(step).expect("hint-free replay accepts what hinted replay accepts");
+            }
+            match verdict {
+                SolveResult::Sat => {
+                    prop_assert_eq!(check_model(&cnf, s.model_values()), Ok(()));
+                }
+                SolveResult::Unsat => {
+                    prop_assert!(checker.refutes(&assumptions));
+                    prop_assert!(plain.refutes(&assumptions));
+                }
+                SolveResult::Unknown => unreachable!("no limits set"),
+            }
+        }
+        prop_assert_eq!(checker.stats().fallbacks, 0, "solver hints must reach a conflict");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     /// Every verdict agrees with brute force and certifies: sat models
     /// pass the independent model checker against the *mirrored*
-    /// formula, unsat proofs replay through the RUP checker.
+    /// formula, unsat proofs replay through the RUP checker — hinted
+    /// with no fallback, and hint-free as well.
     #[test]
     fn verdicts_agree_and_certify(cnf in arb_cnf(8, 40)) {
         let reference = solve_brute_force(&cnf);
@@ -57,12 +128,22 @@ proptest! {
         match (reference, verdict) {
             (Some(_), SolveResult::Sat) => {
                 prop_assert_eq!(check_model(&mirror, solver.model_values()), Ok(()));
+                let mut checker = RupChecker::new();
+                for clause in &mirror.clauses {
+                    checker.add_axiom(clause);
+                }
+                checker.replay(&buffer.take_hinted()).expect("every emitted step is RUP");
+                prop_assert_eq!(checker.stats().fallbacks, 0);
             }
             (None, SolveResult::Unsat) => {
-                let steps = buffer.take_steps();
-                let stats = check_unsat_proof(&mirror, &steps, &[])
-                    .expect("emitted DRAT proof must check");
-                prop_assert!(stats.steps as usize == steps.len());
+                let proof = buffer.take_hinted();
+                let stats = check_hinted_proof(&mirror, &proof, &[])
+                    .expect("emitted hinted proof must check");
+                prop_assert!(stats.steps as usize == proof.len());
+                prop_assert_eq!(stats.fallbacks, 0, "solver hints must reach a conflict");
+                let plain = check_unsat_proof(&mirror, proof.steps(), &[])
+                    .expect("hint-free replay accepts what hinted replay accepts");
+                prop_assert_eq!(plain.steps, stats.steps);
             }
             (r, v) => prop_assert!(false, "mismatch: reference={:?} cdcl={:?}", r.is_some(), v),
         }
@@ -83,6 +164,7 @@ proptest! {
         s.set_clause_mirror(true);
         let vars = cnf.load_into(&mut s);
         let mut checker = RupChecker::new();
+        let mut plain = RupChecker::new();
         let mut mirrored = 0usize;
         for pol in &pols {
             let assumptions: Vec<Lit> = pol
@@ -96,10 +178,13 @@ proptest! {
             let mirror = s.mirror().expect("mirror armed");
             for clause in &mirror.clauses[mirrored..] {
                 checker.add_axiom(clause);
+                plain.add_axiom(clause);
             }
             mirrored = mirror.clauses.len();
-            for step in buffer.take_steps() {
-                checker.apply(&step).expect("every emitted step is RUP");
+            let proof = buffer.take_hinted();
+            checker.replay(&proof).expect("every emitted step is RUP");
+            for step in proof.steps() {
+                plain.apply(step).expect("hint-free replay accepts what hinted replay accepts");
             }
             match verdict {
                 SolveResult::Sat => {
@@ -110,10 +195,12 @@ proptest! {
                         checker.refutes(&assumptions),
                         "checker must refute the failed assumptions"
                     );
+                    prop_assert!(plain.refutes(&assumptions));
                 }
                 SolveResult::Unknown => unreachable!("no limits set"),
             }
         }
+        prop_assert_eq!(checker.stats().fallbacks, 0, "solver hints must reach a conflict");
     }
 
     /// The textual DRAT round-trip is lossless on real solver output,
