@@ -61,7 +61,7 @@
 //! channel-directory form expresses device *kinds* but not per-device
 //! crypto attributes; models that need those are out of its scope.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
 
@@ -779,13 +779,20 @@ pub fn import_files(
     // tripping `MeasurementSet::new`'s duplicate assert.
     let mut seen_kinds: std::collections::HashMap<MeasurementKind, (String, usize)> =
         std::collections::HashMap::new();
+    // Every directory holding a file that is not ignored: each `/` in
+    // a key ends a candidate channel name.
+    let dirs_with_files: BTreeSet<&str> = files
+        .keys()
+        .flat_map(|k| {
+            k.match_indices('/')
+                .filter(|&(i, _)| !ignored(&k[i + 1..]))
+                .map(|(i, _)| &k[..i])
+        })
+        .collect();
     for (index, channel) in channels.iter().enumerate() {
         let prefix = format!("{}/", channel.name);
-        let has_dir_files = files
-            .keys()
-            .any(|k| k.starts_with(&prefix) && !ignored(&k[prefix.len()..]));
         if channel.kind != DeviceKind::Ied {
-            if has_dir_files {
+            if dirs_with_files.contains(channel.name.as_str()) {
                 return Err(err(
                     CHANNELS,
                     0,
@@ -1095,6 +1102,15 @@ pub fn import_files(
     })
 }
 
+/// Whether a directory entry is a directory, following symlinks as
+/// `Path::is_dir` does; only symlinks cost a `stat`.
+fn is_dir(entry: &std::fs::DirEntry) -> bool {
+    match entry.file_type() {
+        Ok(kind) if !kind.is_symlink() => kind.is_dir(),
+        _ => entry.path().is_dir(),
+    }
+}
+
 /// Imports one config directory from disk. The config name is the
 /// directory's file name.
 ///
@@ -1121,7 +1137,7 @@ pub fn import_dir(dir: &Path) -> Result<ImportedConfig, IngestError> {
             continue;
         }
         let path = entry.path();
-        if path.is_dir() {
+        if is_dir(&entry) {
             let inner = std::fs::read_dir(&path).map_err(|e| read_err(&entry_name, e))?;
             let mut leaves: Vec<std::fs::DirEntry> = inner
                 .collect::<Result<_, _>>()
@@ -1133,7 +1149,7 @@ pub fn import_dir(dir: &Path) -> Result<ImportedConfig, IngestError> {
                     continue;
                 }
                 let rel = format!("{entry_name}/{leaf_name}");
-                if leaf.path().is_dir() {
+                if is_dir(&leaf) {
                     return Err(err(
                         &rel,
                         0,
@@ -1794,6 +1810,27 @@ mod tests {
         );
         let e = import_files("tiny", &files).unwrap_err();
         assert!(e.message.contains("not an IED"), "{e}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn symlinked_directories_import_like_real_ones() {
+        let base = std::env::temp_dir().join(format!("scada-ingest-link-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let dir = base.join("tiny");
+        let config = import_files("tiny", &tiny_files()).unwrap();
+        export_dir(&config, &dir).unwrap();
+        // Move the IED channel out of the config and link it back in.
+        let real = base.join("ied003-real");
+        std::fs::rename(dir.join("ied003"), &real).unwrap();
+        std::os::unix::fs::symlink(&real, dir.join("ied003")).unwrap();
+        assert_eq!(import_dir(&dir).unwrap(), config);
+        // A linked directory one level further down is still nesting.
+        std::os::unix::fs::symlink(&base, real.join("nested")).unwrap();
+        let e = import_dir(&dir).unwrap_err();
+        assert_eq!(e.file, "ied003/nested");
+        assert!(e.message.contains("unexpected nesting"), "{e}");
+        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]

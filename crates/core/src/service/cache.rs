@@ -25,7 +25,6 @@
 use std::collections::HashMap;
 
 use crate::maxres::BudgetAxis;
-use crate::obs::MetricsRegistry;
 use crate::spec::{Property, ResiliencySpec};
 
 use super::hash::ModelHash;
@@ -139,20 +138,15 @@ impl VerdictCache {
         self.entries.is_empty()
     }
 
-    /// Looks up a reply, bumping its recency and the hit/miss counters.
-    pub fn lookup(&mut self, key: &CacheKey, metrics: &MetricsRegistry) -> Option<QueryReply> {
+    /// Looks up a reply, bumping its recency. Counts nothing: the
+    /// engine owns the hit/miss counters, because a lookup from the
+    /// event loop's inline hit path must not count its misses (the
+    /// executor that then runs the request counts it once).
+    pub fn lookup(&mut self, key: &CacheKey) -> Option<QueryReply> {
         self.clock += 1;
-        match self.entries.get_mut(key) {
-            Some(entry) => {
-                entry.touched = self.clock;
-                metrics.add("service_cache_hits", 1);
-                Some(entry.reply.clone())
-            }
-            None => {
-                metrics.add("service_cache_misses", 1);
-                None
-            }
-        }
+        let entry = self.entries.get_mut(key)?;
+        entry.touched = self.clock;
+        Some(entry.reply.clone())
     }
 
     /// Inserts a reply if it is cacheable, evicting the least recently
@@ -295,20 +289,17 @@ mod tests {
     }
 
     #[test]
-    fn hit_miss_counters_and_lru() {
-        let metrics = MetricsRegistry::new();
+    fn lru_evicts_least_recently_touched() {
         let mut cache = VerdictCache::new(2);
-        assert!(cache.lookup(&key(1, 1), &metrics).is_none());
+        assert!(cache.lookup(&key(1, 1)).is_none());
         assert!(cache.insert(key(1, 1), &resilient()));
         assert!(cache.insert(key(1, 2), &resilient()));
         // Touch (1,1) so (1,2) is the LRU victim.
-        assert!(cache.lookup(&key(1, 1), &metrics).is_some());
+        assert!(cache.lookup(&key(1, 1)).is_some());
         assert!(cache.insert(key(1, 3), &resilient()));
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(&key(1, 2), &metrics).is_none());
-        assert!(cache.lookup(&key(1, 3), &metrics).is_some());
-        assert_eq!(metrics.counter("service_cache_hits"), 2);
-        assert_eq!(metrics.counter("service_cache_misses"), 2);
+        assert!(cache.lookup(&key(1, 2)).is_none());
+        assert!(cache.lookup(&key(1, 3)).is_some());
     }
 
     #[test]
@@ -329,7 +320,6 @@ mod tests {
 
     #[test]
     fn security_index_entries_survive_every_migration() {
-        let metrics = MetricsRegistry::new();
         let mut cache = VerdictCache::new(8);
         let si_key = CacheKey {
             model: ModelHash(1),
@@ -354,19 +344,18 @@ mod tests {
             model: ModelHash(9),
             ..si_key
         };
-        assert_eq!(cache.lookup(&migrated, &metrics), Some(si_reply));
-        assert!(cache.lookup(&key(9, 1), &metrics).is_none());
+        assert_eq!(cache.lookup(&migrated), Some(si_reply));
+        assert!(cache.lookup(&key(9, 1)).is_none());
     }
 
     #[test]
     fn model_invalidation_is_scoped() {
-        let metrics = MetricsRegistry::new();
         let mut cache = VerdictCache::new(8);
         cache.insert(key(1, 1), &resilient());
         cache.insert(key(1, 2), &resilient());
         cache.insert(key(2, 1), &resilient());
         assert_eq!(cache.invalidate_model(ModelHash(1)), 2);
-        assert!(cache.lookup(&key(1, 1), &metrics).is_none());
-        assert!(cache.lookup(&key(2, 1), &metrics).is_some());
+        assert!(cache.lookup(&key(1, 1)).is_none());
+        assert!(cache.lookup(&key(2, 1)).is_some());
     }
 }

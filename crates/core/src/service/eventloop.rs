@@ -24,6 +24,19 @@
 //! streams. Parallelism comes from *between* connections: each executor
 //! thread runs a different connection's request.
 //!
+//! # Inline cache hits
+//!
+//! A verdict-cache hit costs a few microseconds; the hand-off to an
+//! executor and back costs ten times that. So while nothing of a
+//! connection is running, the loop thread itself tries its queued
+//! requests in order against the engine's caches
+//! ([`LineHandler::try_cached`]), answers the hits in place, and sends
+//! only the first miss to the executors; later requests wait behind it
+//! as before. A pipeline of hits costs one loop pass and one `write`.
+//! The order of answers on a connection is the order of a serial run,
+//! and a hit's reply bytes and counters are those `handle_line` would
+//! produce: both go through the engine's one hit path.
+//!
 //! # Drain
 //!
 //! When `shutdown` is requested (on any connection, or out-of-band via
@@ -52,6 +65,10 @@ const WAKE: Token = 1;
 const FIRST_CONN: Token = 2;
 
 const READ_CHUNK: usize = 16 * 1024;
+
+/// Replies stop moving from their slots into a connection's output
+/// buffer once it holds this many unwritten bytes.
+const OUTBUF_HIGH: usize = 64 * 1024;
 
 /// One framed unit out of the scanner.
 #[derive(Debug, PartialEq, Eq)]
@@ -317,6 +334,9 @@ pub fn serve_event_loop<H: LineHandler>(
                                 if stream.set_nonblocking(true).is_err() {
                                     continue;
                                 }
+                                // A reply must not wait for the ACK of
+                                // the one before it (Nagle).
+                                let _ = stream.set_nodelay(true);
                                 if let Some(bytes) = sndbuf {
                                     let _ = super::poll::set_send_buffer(&stream, bytes);
                                 }
@@ -400,7 +420,7 @@ pub fn serve_event_loop<H: LineHandler>(
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
-            dispatch_conn(conn, token, &job_tx);
+            dispatch_conn(conn, token, &*engine, &job_tx);
             let flush_failed = flush_conn(conn).is_err();
             let finished = !flush_failed
                 && conn.outbuf.is_empty()
@@ -497,54 +517,71 @@ fn read_conn(conn: &mut Conn, max_line: usize, scanned: &mut Vec<Scanned>) {
     }
 }
 
-/// Hands the oldest queued request to the executors — at most one in
-/// flight per connection, preserving serial per-connection semantics.
-fn dispatch_conn(conn: &mut Conn, token: Token, job_tx: &mpsc::Sender<Job>) {
+/// Answers the connection's queued requests in order while nothing of
+/// it is running: cache hits in place on this thread, then the first
+/// miss goes to the executors and every later request waits behind it
+/// — at most one in flight per connection, preserving serial
+/// per-connection semantics.
+fn dispatch_conn<H: LineHandler>(
+    conn: &mut Conn,
+    token: Token,
+    engine: &H,
+    job_tx: &mpsc::Sender<Job>,
+) {
     if conn.has_running() {
         return;
     }
-    if let Some((seq, slot)) = conn
-        .pending
-        .iter_mut()
-        .find(|(_, p)| matches!(p, Pending::Queued(_)))
-        .map(|(seq, p)| (*seq, p))
-    {
+    for (seq, slot) in conn.pending.iter_mut() {
+        let Pending::Queued(line) = slot else {
+            continue;
+        };
+        if let Some(response) = engine.try_cached(line) {
+            *slot = Pending::Done(response);
+            continue;
+        }
         let Pending::Queued(line) = std::mem::replace(slot, Pending::Running) else {
             unreachable!("matched Queued above");
         };
         let _ = job_tx.send(Job {
             conn: token,
-            seq,
+            seq: *seq,
             line,
         });
+        return;
     }
 }
 
 /// Moves completed front slots into the output buffer and writes as
-/// much as the socket accepts.
+/// much as the socket accepts. Slots move only while the buffer is
+/// under [`OUTBUF_HIGH`], so a client that pipelines without reading
+/// fills its reply slots, and the pipeline cap then stops its reads.
 fn flush_conn(conn: &mut Conn) -> io::Result<()> {
-    while matches!(conn.pending.front(), Some((_, Pending::Done(_)))) {
-        let Some((_, Pending::Done(response))) = conn.pending.pop_front() else {
-            unreachable!("matched Done above");
-        };
-        conn.outbuf.extend_from_slice(response.line.as_bytes());
-        conn.outbuf.push(b'\n');
-        if response.shutdown {
-            conn.closing = true;
+    loop {
+        while conn.outbuf.len() < OUTBUF_HIGH
+            && matches!(conn.pending.front(), Some((_, Pending::Done(_))))
+        {
+            let Some((_, Pending::Done(response))) = conn.pending.pop_front() else {
+                unreachable!("matched Done above");
+            };
+            conn.outbuf.extend_from_slice(response.line.as_bytes());
+            conn.outbuf.push(b'\n');
+            if response.shutdown {
+                conn.closing = true;
+            }
         }
-    }
-    while !conn.outbuf.is_empty() {
+        if conn.outbuf.is_empty() {
+            return Ok(());
+        }
         match conn.stream.write(&conn.outbuf) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
             Ok(n) => {
                 conn.outbuf.drain(..n);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    Ok(())
 }
 
 fn close_conn(conns: &mut HashMap<Token, Conn>, poller: &mut Poller, token: Token) {

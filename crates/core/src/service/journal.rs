@@ -1241,6 +1241,16 @@ impl LineHandler for JournaledEngine {
         JournaledEngine::handle_line(self, line)
     }
 
+    fn try_cached(&self, line: &str) -> Option<Response> {
+        // While recovering every request must answer `warming`, hit or
+        // not; queries never touch the journal, so otherwise a hit is
+        // the inner engine's.
+        if self.recovering.load(Ordering::SeqCst) {
+            return None;
+        }
+        self.inner.try_cached(line)
+    }
+
     fn max_line(&self) -> usize {
         self.inner.max_line()
     }

@@ -294,115 +294,12 @@ impl Engine {
         }
         match request {
             Request::Load { config, case_study } => self.handle_load(config, case_study, start),
-            Request::Verify {
-                model,
-                property,
-                spec,
-                limits,
-            } => {
-                let key = CacheKey {
-                    model,
-                    certify: self.certify.enabled,
-                    limits,
-                    shape: QueryShape::Verify { property, spec },
-                };
-                let query_limits = limits.to_limits();
-                let query: SessionQuery = Box::new(move |analyzer| {
-                    let report = analyzer.verify_with_report_limited(property, spec, &query_limits);
-                    Ok(QueryReply::Verify {
-                        verdict: report.verdict,
-                        conflicts: report.conflicts,
-                        attempts: report.attempts,
-                        certificate: report.certificate.as_ref().map(cert_status),
-                    })
-                });
-                self.run_query("verify", model, key, query, start)
-            }
-            Request::MaxRes {
-                model,
-                property,
-                axis,
-                r,
-                limits,
-            } => {
-                let key = CacheKey {
-                    model,
-                    certify: self.certify.enabled,
-                    limits,
-                    shape: QueryShape::MaxRes { property, axis, r },
-                };
-                let query_limits = limits.to_limits();
-                let query: SessionQuery = Box::new(move |analyzer| {
-                    let max = analyzer.max_resiliency_limited(property, axis, r, &query_limits);
-                    Ok(QueryReply::MaxRes { max })
-                });
-                self.run_query("maxres", model, key, query, start)
-            }
-            Request::Enumerate {
-                model,
-                property,
-                spec,
-                cap,
-                limits,
-            } => {
-                let key = CacheKey {
-                    model,
-                    certify: self.certify.enabled,
-                    limits,
-                    shape: QueryShape::Enumerate {
-                        property,
-                        spec,
-                        cap,
-                    },
-                };
-                let query_limits = limits.to_limits();
-                let obs = self.obs.clone();
-                let certify = self.certify.clone();
-                let query: SessionQuery = Box::new(move |analyzer| {
-                    // Enumeration adds permanent blocking clauses; run it
-                    // on a throwaway analyzer so the warm session's model
-                    // stays an exact encoding of the (possibly patched)
-                    // input.
-                    let input = analyzer.input().clone();
-                    let mut fresh = Analyzer::owning(input, obs, certify);
-                    let space = enumerate_threats_with_limited(
-                        &mut fresh,
-                        property,
-                        spec,
-                        cap,
-                        &query_limits,
-                    );
-                    Ok(QueryReply::Enumerate {
-                        vectors: space.vectors,
-                        truncated: space.truncated,
-                        undecided: space.undecided,
-                    })
-                });
-                self.run_query("enumerate", model, key, query, start)
-            }
-            Request::SecurityIndex { model } => {
-                let key = CacheKey {
-                    model,
-                    certify: self.certify.enabled,
-                    limits: LimitsSpec::default(),
-                    shape: QueryShape::SecurityIndex,
-                };
-                let certify = self.certify.clone();
-                let query: SessionQuery = Box::new(move |analyzer| {
-                    // The index depends on the measurement set only, not
-                    // the session's resiliency model: priced by min-cut
-                    // per query, amortized by the verdict cache.
-                    let distribution =
-                        served_distribution(&analyzer.input().measurements, &certify)?;
-                    Ok(QueryReply::SecurityIndex {
-                        indices: distribution.indices,
-                        min: distribution.min,
-                        max: distribution.max,
-                        solves: distribution.solves,
-                        cert_failures: distribution.cert_failures,
-                    })
-                });
-                self.run_query("security_index", model, key, query, start)
+            Request::Verify { .. }
+            | Request::MaxRes { .. }
+            | Request::Enumerate { .. }
+            | Request::SecurityIndex { .. } => {
+                let key = self.cache_key(&request).expect("queries have cache keys");
+                self.run_query(op_name(&request), key, start)
             }
             Request::Patch { model, patch } => self.handle_patch(model, patch, start),
             Request::Batch { dir, jobs } => {
@@ -444,6 +341,117 @@ impl Engine {
                     line: "{\"ok\":true,\"op\":\"shutdown\",\"draining\":true}".to_string(),
                     shutdown: true,
                 }
+            }
+        }
+    }
+
+    /// The verdict-cache key of a query (`verify`, `maxres`,
+    /// `enumerate`, `security_index`); `None` for every other op.
+    fn cache_key(&self, request: &Request) -> Option<CacheKey> {
+        let (model, limits, shape) = match *request {
+            Request::Verify {
+                model,
+                property,
+                spec,
+                limits,
+            } => (model, limits, QueryShape::Verify { property, spec }),
+            Request::MaxRes {
+                model,
+                property,
+                axis,
+                r,
+                limits,
+            } => (model, limits, QueryShape::MaxRes { property, axis, r }),
+            Request::Enumerate {
+                model,
+                property,
+                spec,
+                cap,
+                limits,
+            } => (
+                model,
+                limits,
+                QueryShape::Enumerate {
+                    property,
+                    spec,
+                    cap,
+                },
+            ),
+            Request::SecurityIndex { model } => {
+                (model, LimitsSpec::default(), QueryShape::SecurityIndex)
+            }
+            _ => return None,
+        };
+        Some(CacheKey {
+            model,
+            certify: self.certify.enabled,
+            limits,
+            shape,
+        })
+    }
+
+    /// The session job that answers a query on a cache miss. The key
+    /// carries every parameter the query depends on.
+    fn session_query(&self, key: &CacheKey) -> SessionQuery {
+        let query_limits = key.limits.to_limits();
+        match key.shape {
+            QueryShape::Verify { property, spec } => Box::new(move |analyzer| {
+                let report = analyzer.verify_with_report_limited(property, spec, &query_limits);
+                Ok(QueryReply::Verify {
+                    verdict: report.verdict,
+                    conflicts: report.conflicts,
+                    attempts: report.attempts,
+                    certificate: report.certificate.as_ref().map(cert_status),
+                })
+            }),
+            QueryShape::MaxRes { property, axis, r } => Box::new(move |analyzer| {
+                let max = analyzer.max_resiliency_limited(property, axis, r, &query_limits);
+                Ok(QueryReply::MaxRes { max })
+            }),
+            QueryShape::Enumerate {
+                property,
+                spec,
+                cap,
+            } => {
+                let obs = self.obs.clone();
+                let certify = self.certify.clone();
+                Box::new(move |analyzer| {
+                    // Enumeration adds permanent blocking clauses; run it
+                    // on a throwaway analyzer so the warm session's model
+                    // stays an exact encoding of the (possibly patched)
+                    // input.
+                    let input = analyzer.input().clone();
+                    let mut fresh = Analyzer::owning(input, obs, certify);
+                    let space = enumerate_threats_with_limited(
+                        &mut fresh,
+                        property,
+                        spec,
+                        cap,
+                        &query_limits,
+                    );
+                    Ok(QueryReply::Enumerate {
+                        vectors: space.vectors,
+                        truncated: space.truncated,
+                        undecided: space.undecided,
+                    })
+                })
+            }
+            QueryShape::SecurityIndex => {
+                let certify = self.certify.clone();
+                Box::new(move |analyzer| {
+                    // The index depends on the measurement set only, not
+                    // the session's resiliency model: priced by min-cut
+                    // per query, amortized by the verdict cache.
+                    let distribution =
+                        served_distribution(&analyzer.input().measurements, &certify)?;
+                    Ok(QueryReply::SecurityIndex {
+                        indices: distribution.indices,
+                        min: distribution.min,
+                        max: distribution.max,
+                        solves: distribution.solves,
+                        cert_failures: distribution.cert_failures,
+                    })
+                })
             }
         }
     }
@@ -688,48 +696,59 @@ impl Engine {
         Response::reply(error_line(&message))
     }
 
-    fn run_query(
-        &self,
-        op: &'static str,
-        model: ModelHash,
-        key: CacheKey,
-        query: SessionQuery,
-        start: Instant,
-    ) -> Response {
-        // Cache hits bypass admission entirely: no solver work. The
-        // epoch snapshot must precede every cache consultation so a
+    /// Answers a query from the replica or the verdict cache, the one
+    /// hit path behind both [`Engine::handle_request`] and the event
+    /// loop's inline [`LineHandler::try_cached`]. Hits bypass admission
+    /// entirely: no solver work. A miss counts nothing here; the caller
+    /// that goes on to run the query counts it.
+    fn cached(&self, op: &'static str, key: &CacheKey, start: Instant) -> Option<Response> {
+        // The epoch snapshot must precede every cache consultation so a
         // racing invalidation renders a late publish unservable.
-        let epoch = self.replica.epoch_of(model);
-        if let Some(reply) = self.replica.lookup(&key) {
-            self.metrics.add("service_cache_hits", 1);
+        let epoch = self.replica.epoch_of(key.model);
+        let reply = if let Some(reply) = self.replica.lookup(key) {
             self.metrics.add("service_replica_hits", 1);
-            self.trace_request(op, "ok", Some("cached"), start);
-            return Response::reply(reply_line(
-                model,
-                &reply,
-                "cached",
-                start.elapsed().as_micros(),
-            ));
-        }
-        if let Some(reply) = lock(&self.cache).lookup(&key, &self.metrics) {
+            reply
+        } else {
+            let reply = lock(&self.cache).lookup(key)?;
             // A second hit marks the entry hot: replicate it so sibling
             // shards' workers replay it under a read lock.
-            self.replica.publish(&key, &reply, epoch);
-            self.trace_request(op, "ok", Some("cached"), start);
-            return Response::reply(reply_line(
-                model,
-                &reply,
-                "cached",
-                start.elapsed().as_micros(),
-            ));
+            self.replica.publish(key, &reply, epoch);
+            reply
+        };
+        self.metrics.add("service_cache_hits", 1);
+        self.trace_request(op, "ok", Some("cached"), start);
+        Some(Response::reply(reply_line(
+            key.model,
+            &reply,
+            "cached",
+            start.elapsed().as_micros(),
+        )))
+    }
+
+    /// The inline hit path for one decoded request: `None` for a miss,
+    /// for every op other than a query, and while draining (so the
+    /// request takes the full path and gets the `draining` reply).
+    pub(crate) fn try_cached_request(&self, request: &Request, start: Instant) -> Option<Response> {
+        if self.is_draining() {
+            return None;
         }
+        let key = self.cache_key(request)?;
+        self.cached(op_name(request), &key, start)
+    }
+
+    fn run_query(&self, op: &'static str, key: CacheKey, start: Instant) -> Response {
+        if let Some(hit) = self.cached(op, &key, start) {
+            return hit;
+        }
+        self.metrics.add("service_cache_misses", 1);
+        let model = key.model;
         let _guard = match self.admit_or_reject(op, start) {
             Ok(guard) => guard,
             Err(rejection) => return rejection,
         };
         // Dispatch under the manager lock, wait outside it: a slow query
         // must not serialize the whole service.
-        let ticket = lock(&self.sessions).dispatch(model, query);
+        let ticket = lock(&self.sessions).dispatch(model, self.session_query(&key));
         let Some(ticket) = ticket else {
             // A miss during a drain means the manager already shut
             // down; `draining` is the honest answer, not `unknown
@@ -945,6 +964,15 @@ pub trait LineHandler: Send + Sync + 'static {
     /// Handles one request line, returning one response line.
     fn handle_line(&self, line: &str) -> Response;
 
+    /// Answers a query line from the replica or the verdict cache,
+    /// byte-identical to what [`LineHandler::handle_line`] would reply,
+    /// or returns `None` — on a miss, for every op other than a query,
+    /// for a line that does not parse, and while draining or
+    /// recovering. `None` leaves no trace (no counter moves), so the
+    /// caller can go on to `handle_line` as if it had never asked. The
+    /// event loop answers hits on its own thread with this.
+    fn try_cached(&self, line: &str) -> Option<Response>;
+
     /// Longest accepted request line in bytes.
     fn max_line(&self) -> usize;
 
@@ -962,9 +990,31 @@ pub trait LineHandler: Send + Sync + 'static {
     fn drain(&self);
 }
 
+/// Parses `line` and hands the request to `answer` (an engine's inline
+/// hit path), echoing the request `id` on the reply like
+/// [`Engine::handle_line`] does.
+pub(crate) fn try_cached_line(
+    line: &str,
+    answer: impl FnOnce(&Request, Instant) -> Option<Response>,
+) -> Option<Response> {
+    let start = Instant::now();
+    let (id, parsed) = parse_line(line);
+    let mut response = answer(&parsed.ok()?, start)?;
+    if let Some(id) = id {
+        attach_id(&mut response.line, &id);
+    }
+    Some(response)
+}
+
 impl LineHandler for Engine {
     fn handle_line(&self, line: &str) -> Response {
         Engine::handle_line(self, line)
+    }
+
+    fn try_cached(&self, line: &str) -> Option<Response> {
+        try_cached_line(line, |request, start| {
+            self.try_cached_request(request, start)
+        })
     }
 
     fn max_line(&self) -> usize {
@@ -1231,6 +1281,9 @@ pub fn serve_tcp<H: LineHandler>(engine: Arc<H>, listener: TcpListener) -> io::R
         }
         match listener.accept() {
             Ok((stream, _)) => {
+                // A reply must not wait for the ACK of the one before
+                // it (Nagle).
+                let _ = stream.set_nodelay(true);
                 let engine = Arc::clone(&engine);
                 let handle = std::thread::Builder::new()
                     .name("scadad-conn".to_string())
@@ -1313,6 +1366,8 @@ mod tests {
             Some("warm")
         );
         assert_eq!(field_str(&third.line, "verdict").as_deref(), Some("threat"));
+        assert_eq!(engine.metrics().counter("service_cache_hits"), 1);
+        assert_eq!(engine.metrics().counter("service_cache_misses"), 2);
 
         let stats = engine.handle_line("{\"op\":\"stats\"}");
         assert!(

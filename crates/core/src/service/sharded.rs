@@ -36,7 +36,9 @@ use std::time::Instant;
 use super::hash::{advance_model_hash, model_hash, ModelHash};
 use super::protocol::{attach_id, parse_line, Request};
 use super::replica::ReplicaCache;
-use super::server::{load_input, op_name, Engine, LineHandler, Response, ServeOptions};
+use super::server::{
+    load_input, op_name, try_cached_line, Engine, LineHandler, Response, ServeOptions,
+};
 
 /// N [`Engine`] shards behind a model-hash router. Construct with
 /// [`ShardedEngine::new`]; serve with any transport (they are generic
@@ -335,6 +337,25 @@ impl ShardedEngine {
 impl LineHandler for ShardedEngine {
     fn handle_line(&self, line: &str) -> Response {
         ShardedEngine::handle_line(self, line)
+    }
+
+    fn try_cached(&self, line: &str) -> Option<Response> {
+        try_cached_line(line, |request, start| {
+            // The router's drain gate, as in `handle_request`; the
+            // owning shard then checks its own.
+            if self.is_draining() {
+                return None;
+            }
+            match *request {
+                Request::Verify { model, .. }
+                | Request::MaxRes { model, .. }
+                | Request::Enumerate { model, .. }
+                | Request::SecurityIndex { model } => {
+                    self.shard(model).try_cached_request(request, start)
+                }
+                _ => None,
+            }
+        })
     }
 
     fn max_line(&self) -> usize {

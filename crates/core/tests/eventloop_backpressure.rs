@@ -1,5 +1,5 @@
-//! Regression test for the event loop's write side under TCP
-//! backpressure (its own test binary: it sets a process-global env
+//! Regression tests for the event loop's write side under TCP
+//! backpressure (their own test binary: they set a process-global env
 //! hook the other integration suites must not see).
 //!
 //! The failure mode being pinned: a reply larger than the socket's
@@ -74,6 +74,76 @@ fn slow_reader_with_tiny_send_buffer_gets_every_reply_in_order() {
     }
 
     writeln!(stream, "{{\"op\":\"shutdown\"}}").expect("shutdown");
+    line.clear();
+    reader.read_line(&mut line).expect("ack");
+    assert!(line.contains("\"draining\":true"), "{line}");
+    server.join().expect("event loop thread");
+}
+
+/// A client that pipelines cache hits and never reads its replies must
+/// not make the server buffer replies without bound: once the
+/// connection's output buffer is full its reply slots fill, the loop
+/// stops reading, and the client's writes block on the TCP window.
+#[test]
+fn client_that_never_reads_is_stopped_by_tcp_backpressure() {
+    std::env::set_var("SCADAD_EVENTLOOP_SNDBUF", "1");
+
+    let engine = Arc::new(ShardedEngine::new(ServeOptions::default(), 1));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let server = std::thread::spawn(move || {
+        scada_analyzer::service::serve_event_loop(engine, listener, 0).expect("event loop");
+    });
+
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+    writeln!(stream, "{{\"op\":\"load\",\"case_study\":true}}").expect("load");
+    reader.read_line(&mut line).expect("load reply");
+    let key = "\"model\":\"";
+    let at = line.find(key).expect("model hash") + key.len();
+    let verify = format!(
+        "{{\"op\":\"verify\",\"model\":\"{}\",\"property\":\"obs\",\"spec\":{{\"k1\":1,\"k2\":1}}}}",
+        &line[at..at + 32]
+    );
+    writeln!(stream, "{verify}").expect("verify");
+    line.clear();
+    reader.read_line(&mut line).expect("verify reply");
+
+    // Every request from here on is a hit the loop answers itself.
+    let burst = format!("{verify}\n").repeat(512);
+    stream.set_nonblocking(true).expect("nonblocking");
+    let limit: usize = 64 << 20;
+    let mut written = 0;
+    let blocked = loop {
+        match stream.write(burst.as_bytes()) {
+            Ok(n) => written += n,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                // The window may reopen while the loop catches up;
+                // blocked means still blocked a moment later.
+                std::thread::sleep(Duration::from_millis(200));
+                match stream.write(burst.as_bytes()) {
+                    Ok(n) => written += n,
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break true,
+                    Err(e) => panic!("write: {e}"),
+                }
+            }
+            Err(e) => panic!("write: {e}"),
+        }
+        if written > limit {
+            break false;
+        }
+    };
+    assert!(
+        blocked,
+        "the server kept reading {written} bytes from a client that never reads"
+    );
+    drop(reader);
+    drop(stream);
+
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    writeln!(stream, "{{\"op\":\"shutdown\"}}").expect("shutdown");
+    let mut reader = BufReader::new(stream);
     line.clear();
     reader.read_line(&mut line).expect("ack");
     assert!(line.contains("\"draining\":true"), "{line}");

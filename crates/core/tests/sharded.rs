@@ -1,7 +1,9 @@
 //! Integration tests for the sharded service front-end: byte
 //! equivalence with the single-engine path, replica epoch invalidation
-//! across `patch`, the draining protocol, and pipelined request `id`
-//! correlation through the event-loop transport.
+//! across `patch`, the draining protocol, pipelined request `id`
+//! correlation through the event-loop transport, and the event loop's
+//! inline cache hits (equivalent to serial `handle_line`, and deferred
+//! while recovering or draining).
 
 use std::sync::Arc;
 
@@ -73,11 +75,14 @@ const SCRIPT: &[&str] = &[
     "{\"op\":\"shutdown\"}",
 ];
 
-fn run_script(handle: &dyn Fn(&str) -> String) -> Vec<String> {
+/// Replays `script` through `handle` one line at a time, returning the
+/// lines as sent (hashes substituted) and the replies (timing blanked).
+fn replay(script: &[&str], handle: &dyn Fn(&str) -> String) -> (Vec<String>, Vec<String>) {
     let mut model = String::new();
     let mut patched = String::new();
+    let mut lines = Vec::new();
     let mut replies = Vec::new();
-    for template in SCRIPT {
+    for template in script {
         let line = template
             .replace("{model}", &model)
             .replace("{patched}", &patched);
@@ -89,9 +94,14 @@ fn run_script(handle: &dyn Fn(&str) -> String) -> Vec<String> {
                 patched = m;
             }
         }
+        lines.push(line);
         replies.push(strip_timing(&reply));
     }
-    replies
+    (lines, replies)
+}
+
+fn run_script(handle: &dyn Fn(&str) -> String) -> Vec<String> {
+    replay(SCRIPT, handle).1
 }
 
 /// The tentpole equivalence gate: a sharded engine must answer every
@@ -222,22 +232,299 @@ fn requests_after_shutdown_get_draining_not_busy() {
             "health gated or wrong state during drain (sharded={sharded}): {health}"
         );
     }
+
+    // The event loop answers cache hits on its own thread; one queued
+    // behind a running request when the drain starts must still get
+    // `draining`, not its cached verdict.
+    #[cfg(unix)]
+    {
+        eventloop::queued_hit_answers_draining(Engine::new(ServeOptions::default()));
+        eventloop::queued_hit_answers_draining(ShardedEngine::new(ServeOptions::default(), 2));
+    }
 }
 
 #[cfg(unix)]
 mod eventloop {
     use super::*;
+    use scada_analyzer::service::{JournalConfig, JournaledEngine, LineHandler, Response};
     use std::io::{BufRead, BufReader, Read, Write};
     use std::net::{TcpListener, TcpStream};
+    use std::sync::{mpsc, Mutex};
 
-    fn start(options: ServeOptions, shards: usize) -> (std::thread::JoinHandle<()>, String) {
-        let engine = Arc::new(ShardedEngine::new(options, shards));
+    const VERIFY: &str = "{\"op\":\"verify\",\"model\":\"{model}\",\"property\":\"obs\",\
+                          \"spec\":{\"k1\":1,\"k2\":1}}";
+
+    /// Serves `engine` on a loopback port with `executors` request
+    /// threads; returns the server thread and its address.
+    fn serve<H: LineHandler>(
+        engine: Arc<H>,
+        executors: usize,
+    ) -> (std::thread::JoinHandle<()>, String) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
         let handle = std::thread::spawn(move || {
-            scada_analyzer::service::serve_event_loop(engine, listener, 0).expect("event loop");
+            scada_analyzer::service::serve_event_loop(engine, listener, executors)
+                .expect("event loop");
         });
         (handle, addr)
+    }
+
+    /// One request/reply exchange on a connection.
+    fn call(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
+        writeln!(stream, "{line}").expect("write request");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        reply
+    }
+
+    fn counter(stats: &str, name: &str) -> Option<u64> {
+        let key = format!("\"{name}\":");
+        let tail = &stats[stats.find(&key)? + key.len()..];
+        let end = tail.find(|c: char| !c.is_ascii_digit())?;
+        tail[..end].parse().ok()
+    }
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("scada-sharded-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Cache misses and hits of every kind (primary, replica, a verdict
+    /// migrated by a patch), a retired hash after the patch, and an
+    /// evicted model, closed by `stats`.
+    const PIPELINE: &[&str] = &[
+        "{\"op\":\"load\",\"case_study\":true}",
+        VERIFY,
+        VERIFY,
+        "{\"op\":\"patch\",\"model\":\"{model}\",\
+         \"patch\":{\"set_profile\":{\"a\":2,\"b\":9,\"profiles\":[\"rsa 2048\"]}}}",
+        VERIFY,
+        "{\"op\":\"verify\",\"model\":\"{patched}\",\"property\":\"obs\",\
+         \"spec\":{\"k1\":1,\"k2\":1},\"id\":\"after-patch\"}",
+        "{\"op\":\"security_index\",\"model\":\"{patched}\"}",
+        "{\"op\":\"security_index\",\"model\":\"{patched}\",\"id\":7}",
+        "{\"op\":\"verify\",\"model\":\"{patched}\",\"property\":\"obs\",\
+         \"spec\":{\"k1\":1,\"k2\":1}}",
+        "{\"op\":\"evict\",\"model\":\"{patched}\"}",
+        "{\"op\":\"verify\",\"model\":\"{patched}\",\"property\":\"obs\",\
+         \"spec\":{\"k1\":1,\"k2\":1}}",
+        "{\"op\":\"stats\"}",
+    ];
+
+    /// Runs [`PIPELINE`] through `handle_line` one line at a time on one
+    /// engine, then as a single write through the event loop on a fresh
+    /// engine of the same kind: the replies must be byte-identical
+    /// (timing blanked) and the `stats` counters equal.
+    fn assert_pipeline_matches_serial<H: LineHandler>(name: &str, make: &dyn Fn() -> H) {
+        let serial = make();
+        let (lines, expected) = replay(PIPELINE, &|line| serial.handle_line(line).line);
+        serial.drain();
+        assert!(
+            expected[2].contains("\"provenance\":\"cached\""),
+            "{name}: the script's repeat is not a hit: {}",
+            expected[2]
+        );
+
+        let (server, addr) = serve(Arc::new(make()), 0);
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut burst = lines.join("\n");
+        burst.push('\n');
+        stream.write_all(burst.as_bytes()).expect("write pipeline");
+        let mut replies = Vec::new();
+        for _ in &lines {
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("pipelined reply");
+            replies.push(strip_timing(reply.trim_end()));
+        }
+        let ack = call(&mut stream, &mut reader, "{\"op\":\"shutdown\"}");
+        assert!(ack.contains("\"draining\":true"), "{ack}");
+        server.join().expect("event loop thread");
+
+        let (stats, replies) = replies.split_last().expect("stats reply");
+        let (expected_stats, expected) = expected.split_last().expect("stats reply");
+        assert_eq!(replies, expected, "{name}: pipelined replies diverged");
+        for key in [
+            "service_requests",
+            "service_cache_hits",
+            "service_cache_misses",
+            "service_replica_hits",
+        ] {
+            assert_eq!(
+                counter(stats, key),
+                counter(expected_stats, key),
+                "{name}: {key} diverged: {stats} vs {expected_stats}"
+            );
+        }
+    }
+
+    /// The event loop answers hits on its own thread; the bytes and
+    /// counters must be those of serial `handle_line` calls on every
+    /// engine kind.
+    #[test]
+    fn pipelined_hits_match_serial_handle_line() {
+        assert_pipeline_matches_serial("engine", &|| Engine::new(ServeOptions::default()));
+        assert_pipeline_matches_serial("3 shards", &|| {
+            ShardedEngine::new(ServeOptions::default(), 3)
+        });
+        let dirs = std::cell::RefCell::new(Vec::new());
+        assert_pipeline_matches_serial("journaled", &|| {
+            let dir = temp_dir(&format!("journaled-{}", dirs.borrow().len()));
+            dirs.borrow_mut().push(dir.clone());
+            let inner = Arc::new(ShardedEngine::new(ServeOptions::default(), 1));
+            JournaledEngine::open(inner, JournalConfig::new(dir)).expect("open journal")
+        });
+        for dir in dirs.into_inner() {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    /// While a journaled engine recovers, every request answers
+    /// `warming` — also one its inner engine could answer from cache.
+    #[test]
+    fn recovering_engine_answers_a_cached_query_warming() {
+        let dir = temp_dir("warming");
+        let load = "{\"op\":\"load\",\"case_study\":true}";
+        // A journal holding one live model, so the next open recovers.
+        let first = JournaledEngine::open(
+            Arc::new(ShardedEngine::new(ServeOptions::default(), 1)),
+            JournalConfig::new(&dir),
+        )
+        .expect("open journal");
+        let model = field_str(&first.handle_line(load).line, "model").expect("model hash");
+        first.drain();
+        drop(first);
+
+        // An inner engine whose cache already holds the verdict.
+        let verify = VERIFY.replace("{model}", &model);
+        let inner = Arc::new(ShardedEngine::new(ServeOptions::default(), 1));
+        inner.handle_line(load);
+        inner.handle_line(&verify);
+        assert!(inner.try_cached(&verify).is_some(), "verdict not cached");
+        let journaled = Arc::new(
+            JournaledEngine::open(Arc::clone(&inner), JournalConfig::new(&dir))
+                .expect("reopen journal"),
+        );
+        assert!(journaled.needs_recovery());
+        assert!(journaled.try_cached(&verify).is_none());
+
+        let (server, addr) = serve(Arc::clone(&journaled), 0);
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let warming = call(&mut stream, &mut reader, &verify);
+        assert!(
+            warming.contains("\"error\":\"warming\"") && warming.contains("\"retry\":true"),
+            "cached query answered during recovery: {warming}"
+        );
+        journaled.recover().expect("recover");
+        let cached = call(&mut stream, &mut reader, &verify);
+        assert_eq!(
+            field_str(&cached, "provenance").as_deref(),
+            Some("cached"),
+            "{cached}"
+        );
+        let ack = call(&mut stream, &mut reader, "{\"op\":\"shutdown\"}");
+        assert!(ack.contains("\"draining\":true"), "{ack}");
+        server.join().expect("event loop thread");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Holds the request tagged `"id":"gate"` at its executor until the
+    /// test opens the gate, so requests pipelined behind it stay queued
+    /// while a drain starts.
+    struct Gated<H> {
+        inner: H,
+        entered: Mutex<mpsc::Sender<()>>,
+        gate: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl<H: LineHandler> LineHandler for Gated<H> {
+        fn handle_line(&self, line: &str) -> Response {
+            if line.contains("\"id\":\"gate\"") {
+                let _ = self.entered.lock().unwrap().send(());
+                let _ = self.gate.lock().unwrap().recv();
+            }
+            self.inner.handle_line(line)
+        }
+
+        fn try_cached(&self, line: &str) -> Option<Response> {
+            self.inner.try_cached(line)
+        }
+
+        fn max_line(&self) -> usize {
+            self.inner.max_line()
+        }
+
+        fn is_draining(&self) -> bool {
+            self.inner.is_draining()
+        }
+
+        fn begin_drain(&self) {
+            self.inner.begin_drain()
+        }
+
+        fn drain(&self) {
+            self.inner.drain()
+        }
+    }
+
+    /// Primes a cached verdict, queues a repeat of it behind a running
+    /// request, drains the service from a second connection, then lets
+    /// the running request finish: the repeat must answer `draining`
+    /// with `"retry":false`, as `handle_line` would.
+    pub(super) fn queued_hit_answers_draining<H: LineHandler>(engine: H) {
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (gate_tx, gate_rx) = mpsc::channel();
+        let engine = Arc::new(Gated {
+            inner: engine,
+            entered: Mutex::new(entered_tx),
+            gate: Mutex::new(gate_rx),
+        });
+        // Two executors: the gated request holds one, `shutdown` runs
+        // on the other.
+        let (server, addr) = serve(engine, 2);
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let load = call(
+            &mut stream,
+            &mut reader,
+            "{\"op\":\"load\",\"case_study\":true}",
+        );
+        let verify = VERIFY.replace("{model}", &field_str(&load, "model").expect("model hash"));
+        call(&mut stream, &mut reader, &verify);
+        let hit = call(&mut stream, &mut reader, &verify);
+        assert_eq!(
+            field_str(&hit, "provenance").as_deref(),
+            Some("cached"),
+            "{hit}"
+        );
+
+        // One write, so the loop frames both lines before the drain
+        // stops its reads.
+        let burst = format!("{{\"op\":\"stats\",\"id\":\"gate\"}}\n{verify}\n");
+        stream.write_all(burst.as_bytes()).expect("write");
+        entered_rx.recv().expect("gated request started");
+        let mut other = TcpStream::connect(&addr).expect("connect");
+        let mut other_reader = BufReader::new(other.try_clone().expect("clone"));
+        let ack = call(&mut other, &mut other_reader, "{\"op\":\"shutdown\"}");
+        assert!(ack.contains("\"draining\":true"), "{ack}");
+        gate_tx.send(()).expect("open the gate");
+
+        let mut gated = String::new();
+        reader.read_line(&mut gated).expect("gated reply");
+        assert!(gated.contains("\"id\":\"gate\""), "{gated}");
+        let mut queued = String::new();
+        reader.read_line(&mut queued).expect("queued reply");
+        assert!(
+            queued.contains("\"error\":\"draining\"") && queued.contains("\"retry\":false"),
+            "a hit queued across the drain was not rejected as draining: {queued}"
+        );
+        server.join().expect("event loop thread");
+    }
+
+    fn start(options: ServeOptions, shards: usize) -> (std::thread::JoinHandle<()>, String) {
+        serve(Arc::new(ShardedEngine::new(options, shards)), 0)
     }
 
     /// Pipelining contract: many tagged requests written in one burst
