@@ -4,7 +4,7 @@
 //! the Fig 5(a) series.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use scada_analyzer::{Property, ResiliencySpec};
+use scada_analyzer::{Property, QueryContext, ResiliencySpec};
 use scada_bench::{measure, resiliency_boundary, Workload};
 use std::hint::black_box;
 
@@ -30,6 +30,7 @@ fn bench_fig5b(c: &mut Criterion) {
                     black_box(&input),
                     Property::SecuredObservability,
                     ResiliencySpec::total(k_unsat),
+                    &QueryContext::default(),
                 )
             })
         });
@@ -39,6 +40,7 @@ fn bench_fig5b(c: &mut Criterion) {
                     black_box(&input),
                     Property::SecuredObservability,
                     ResiliencySpec::total(k_sat),
+                    &QueryContext::default(),
                 )
             })
         });

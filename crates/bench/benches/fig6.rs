@@ -4,7 +4,7 @@
 //! rise (more paths to refute).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use scada_analyzer::{Property, ResiliencySpec};
+use scada_analyzer::{Property, QueryContext, ResiliencySpec};
 use scada_bench::{measure, resiliency_boundary, Workload};
 use std::hint::black_box;
 
@@ -31,6 +31,7 @@ fn bench_fig6(c: &mut Criterion) {
                         black_box(&input),
                         Property::Observability,
                         ResiliencySpec::total(k_unsat),
+                        &QueryContext::default(),
                     )
                 })
             });
@@ -40,6 +41,7 @@ fn bench_fig6(c: &mut Criterion) {
                         black_box(&input),
                         Property::Observability,
                         ResiliencySpec::total(k_sat),
+                        &QueryContext::default(),
                     )
                 })
             });

@@ -9,7 +9,7 @@
 //! `fleet/{serial,jobs4}/{30,57}`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use scada_analyzer::{Property, ResiliencySpec};
+use scada_analyzer::{Property, QueryContext, ResiliencySpec};
 use scada_bench::{measure_fleet, resiliency_boundary, FleetQuery, Workload};
 use std::hint::black_box;
 
@@ -46,10 +46,10 @@ fn bench_parallel(c: &mut Criterion) {
     for buses in [30usize, 57] {
         let fleet = fleet_for(buses);
         group.bench_with_input(BenchmarkId::new("serial", buses), &buses, |b, _| {
-            b.iter(|| measure_fleet(black_box(&fleet), 1))
+            b.iter(|| measure_fleet(black_box(&fleet), 1, &QueryContext::default()))
         });
         group.bench_with_input(BenchmarkId::new("jobs4", buses), &buses, |b, _| {
-            b.iter(|| measure_fleet(black_box(&fleet), 4))
+            b.iter(|| measure_fleet(black_box(&fleet), 4, &QueryContext::default()))
         });
     }
     group.finish();

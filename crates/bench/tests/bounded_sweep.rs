@@ -5,8 +5,15 @@
 
 use std::time::{Duration, Instant};
 
-use scada_analyzer::{Property, QueryLimits, ResiliencySpec, RetryPolicy};
-use scada_bench::{measure, measure_limited, Workload};
+use scada_analyzer::{Property, QueryContext, QueryLimits, ResiliencySpec, RetryPolicy};
+use scada_bench::{measure, Workload};
+
+fn limited(limits: QueryLimits) -> QueryContext {
+    QueryContext {
+        limits,
+        ..QueryContext::default()
+    }
+}
 
 fn ieee57() -> Workload {
     Workload {
@@ -26,11 +33,11 @@ fn ieee57_timeout_returns_promptly() {
     let input = ieee57().build();
     let limits = QueryLimits::none().with_timeout(Duration::from_millis(100));
     let started = Instant::now();
-    let m = measure_limited(
+    let m = measure(
         &input,
         Property::SecuredObservability,
         ResiliencySpec::total(4),
-        &limits,
+        &limited(limits),
     );
     // Generous slack for encoding time (the deadline only bounds the
     // solver's search): the point is "no hang", not a hard 100ms.
@@ -50,11 +57,11 @@ fn ieee57_timeout_returns_promptly() {
 fn ieee57_expired_deadline_is_unknown() {
     let input = ieee57().build();
     let limits = QueryLimits::none().with_deadline(Instant::now());
-    let m = measure_limited(
+    let m = measure(
         &input,
         Property::Observability,
         ResiliencySpec::total(2),
-        &limits,
+        &limited(limits),
     );
     assert!(m.outcome.is_unknown(), "expired deadline must degrade");
     assert!(m.variables > 0, "encoding statistics still reported");
@@ -67,7 +74,7 @@ fn ieee57_unlimited_matches_seed_and_escalation_converges() {
     let input = ieee57().build();
     let property = Property::Observability;
     let spec = ResiliencySpec::total(0);
-    let reference = measure(&input, property, spec);
+    let reference = measure(&input, property, spec, &QueryContext::default());
     assert!(
         !reference.outcome.is_unknown(),
         "unlimited queries always decide"
@@ -75,7 +82,7 @@ fn ieee57_unlimited_matches_seed_and_escalation_converges() {
     let escalated = QueryLimits::none()
         .with_conflict_budget(1)
         .with_retry(RetryPolicy::escalating(32));
-    let bounded = measure_limited(&input, property, spec, &escalated);
+    let bounded = measure(&input, property, spec, &limited(escalated));
     assert!(!bounded.outcome.is_unknown(), "escalation must converge");
     assert_eq!(bounded.outcome, reference.outcome);
 }

@@ -75,16 +75,14 @@
 //! the fleet was audited. Precedence: 4 > 6 > 1 > 3 > 0.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
+use scada_analyzer::cli::{self, opt, raw, raw_all};
 use scada_analyzer::obs::json_escape_into;
 use scada_analyzer::service::{parse_json, Json};
-use scada_analyzer::synthesis::{synthesize_upgrades_certified, SynthesisOptions, SynthesisResult};
+use scada_analyzer::synthesis::{synthesize_upgrades, SynthesisOptions, SynthesisResult};
 use scada_analyzer::{
-    enumerate_threats_with_limited, par_max_resiliency_certified, parse_duration,
-    verify_batch_certified, AnalysisInput, Analyzer, BudgetAxis, CertFault, Certificate,
-    CertifyOptions, JsonlTracer, MetricsRegistry, Obs, Property, QueryLimits, ResiliencySpec,
-    RetryPolicy, Verdict,
+    enumerate_threats, par_max_resiliency, verify_batch, AnalysisInput, BudgetAxis, CertFault,
+    Certificate, Property, ResiliencySpec, Verdict,
 };
 use scadasim::parse_config;
 
@@ -131,55 +129,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// The value following option `name`, if the option is present.
-///
-/// # Errors
-///
-/// The option being present without a value is a usage error.
-fn raw<'a>(args: &'a [String], name: &str) -> Result<Option<&'a String>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(v) => Ok(Some(v)),
-            None => Err(format!("{name} requires a value")),
-        },
-    }
-}
-
-/// Every value of a repeatable option, in the order given.
-///
-/// # Errors
-///
-/// Any occurrence without a value is a usage error.
-fn raw_all<'a>(args: &'a [String], name: &str) -> Result<Vec<&'a String>, String> {
-    let mut values = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == name {
-            match args.get(i + 1) {
-                Some(v) => values.push(v),
-                None => return Err(format!("{name} requires a value")),
-            }
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    Ok(values)
-}
-
-/// A numeric option. Malformed values are usage errors, not silent
-/// fallbacks to the default.
-fn opt<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    match raw(args, name)? {
-        None => Ok(None),
-        Some(v) => v
-            .parse::<T>()
-            .map(Some)
-            .map_err(|_| format!("bad {name} `{v}` (expected a number)")),
-    }
-}
-
 fn run(args: &[String]) -> Result<ExitCode, String> {
     if args.iter().any(|a| a == "--template") {
         print!("{TEMPLATE}");
@@ -188,7 +137,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     if let Some(addr) = raw(args, "--connect")? {
         return run_client(addr, args);
     }
-    let flag = |name: &str| args.iter().any(|a| a == name);
+    let flag = |name: &str| cli::flag(args, name);
     if flag("--patch") {
         return Err(
             "--patch requires --connect (patches mutate a warm service session; \
@@ -245,61 +194,22 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     spec = spec.with_link_failures(opt(args, "--links")?.unwrap_or(config_link_failures));
     let jobs = opt(args, "--jobs")?.unwrap_or(0);
 
-    // Resource limits: a bounded query degrades to UNKNOWN, never hangs.
-    let mut limits = QueryLimits::none();
-    if let Some(v) = raw(args, "--timeout")? {
-        let Some(timeout) = parse_duration(v) else {
-            return Err(format!("bad --timeout `{v}` (use e.g. 150ms, 5s, 2m)"));
-        };
-        limits = limits.with_timeout(timeout);
-    }
-    if let Some(budget) = opt::<u64>(args, "--conflict-budget")? {
-        limits = limits
-            .with_conflict_budget(budget)
-            .with_retry(RetryPolicy::escalating(4));
-    }
-
-    // Certification: every verdict re-checked by the independent
-    // model/proof checkers; failures flip the exit code to 4.
-    let mut certify = CertifyOptions {
-        enabled: flag("--certify"),
-        ..CertifyOptions::default()
-    };
-    if let Some(dir) = raw(args, "--proof-dir")? {
-        let dir = std::path::PathBuf::from(dir);
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| format!("cannot create proof dir {}: {e}", dir.display()))?;
-        certify.proof_dir = Some(dir);
-        certify.enabled = true;
-    }
+    // Resource limits (a bounded query degrades to UNKNOWN, never
+    // hangs), certification (failures flip the exit code to 4), and
+    // observability (a JSONL trace and/or a metrics registry; both off
+    // by default, and then the analyzer pays nothing).
+    let (mut ctx, (tracer, metrics)) = cli::query_context(args, &cli::CONTEXT_FLAGS)?;
     // Test hook: deliberately corrupt artifacts before checking, to
     // prove the checkers are not vacuous (see tests/degradation.rs).
     match std::env::var("SCADA_CERTIFY_FAULT").ok().as_deref() {
-        Some("proof") => certify.fault = Some(CertFault::CorruptProof),
-        Some("model") => certify.fault = Some(CertFault::CorruptModel),
+        Some("proof") => ctx.certify.fault = Some(CertFault::CorruptProof),
+        Some("model") => ctx.certify.fault = Some(CertFault::CorruptModel),
         Some(other) if !other.is_empty() => {
             return Err(format!("bad SCADA_CERTIFY_FAULT `{other}` (proof|model)"));
         }
         _ => {}
     }
-
-    // Observability: a JSONL trace sink and/or an in-memory metrics
-    // registry. Both default to off — the analyzer then pays nothing.
-    let mut obs = Obs::none();
-    let mut tracer: Option<Arc<JsonlTracer>> = None;
-    if let Some(trace_path) = raw(args, "--trace")? {
-        let sink = JsonlTracer::to_file(std::path::Path::new(trace_path))
-            .map_err(|e| format!("cannot create trace file {trace_path}: {e}"))?;
-        let sink = Arc::new(sink);
-        tracer = Some(sink.clone());
-        obs = obs.with_tracer(sink);
-    }
-    let mut metrics: Option<Arc<MetricsRegistry>> = None;
-    if flag("--stats") {
-        let registry = Arc::new(MetricsRegistry::new());
-        metrics = Some(registry.clone());
-        obs = obs.with_metrics(registry);
-    }
+    let certify = &ctx.certify;
 
     let properties = parse_properties(args)?;
 
@@ -319,7 +229,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut any_threat = false;
     let mut any_unknown = false;
     let queries: Vec<(Property, ResiliencySpec)> = properties.iter().map(|&p| (p, spec)).collect();
-    let reports = verify_batch_certified(&input, &queries, jobs, &limits, &obs, &certify);
+    let reports = verify_batch(&input, &queries, jobs, &ctx);
     for (&property, report) in properties.iter().zip(&reports) {
         match &report.verdict {
             Verdict::Resilient => {
@@ -364,9 +274,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             // Enumeration honours the same limits as verification: a
             // bounded run terminates and reports an undecided space
             // instead of hanging.
-            let mut enum_analyzer = Analyzer::with_options(&input, obs.clone(), certify.clone());
-            let space =
-                enumerate_threats_with_limited(&mut enum_analyzer, property, spec, 1000, &limits);
+            let space = enumerate_threats(&input, property, spec, 1000, &ctx);
             if space.undecided {
                 any_unknown = true;
             }
@@ -397,36 +305,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
         if flag("--max-resiliency") {
             let fmt = |m: Option<usize>| m.map_or("none".to_string(), |k| k.to_string());
-            let ied = par_max_resiliency_certified(
-                &input,
-                property,
-                BudgetAxis::IedsOnly,
-                r,
-                jobs,
-                &limits,
-                &obs,
-                &certify,
-            );
-            let rtu = par_max_resiliency_certified(
-                &input,
-                property,
-                BudgetAxis::RtusOnly,
-                r,
-                jobs,
-                &limits,
-                &obs,
-                &certify,
-            );
-            let total = par_max_resiliency_certified(
-                &input,
-                property,
-                BudgetAxis::Total,
-                r,
-                jobs,
-                &limits,
-                &obs,
-                &certify,
-            );
+            let ied = par_max_resiliency(&input, property, BudgetAxis::IedsOnly, r, jobs, &ctx);
+            let rtu = par_max_resiliency(&input, property, BudgetAxis::RtusOnly, r, jobs, &ctx);
+            let total = par_max_resiliency(&input, property, BudgetAxis::Total, r, jobs, &ctx);
             println!(
                 "  max resiliency: IEDs-only {}, RTUs-only {}, total {}",
                 fmt(ied),
@@ -436,13 +317,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
 
         if flag("--repair") && property != Property::Observability {
-            match synthesize_upgrades_certified(
+            match synthesize_upgrades(
                 &input,
                 property,
                 spec,
                 &SynthesisOptions::default(),
-                &obs,
-                &certify,
+                &ctx.obs,
+                certify,
             ) {
                 SynthesisResult::AlreadyResilient => {
                     println!("  repair: nothing to do");
@@ -471,7 +352,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         // Property-independent: one max-flow per measured line over the
         // measurement set, each component certified (and
         // fault-injectable) through the same log as the verdicts above.
-        let distribution = scada_analyzer::served_distribution(&input.measurements, &certify)
+        let distribution = scada_analyzer::served_distribution(&input.measurements, certify)
             .map_err(|e| format!("security index failed: {e}"))?;
         println!(
             "security index: min {} / max {} over {} measurement(s)  ({} solve(s){})",
@@ -538,19 +419,15 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 /// per config goes to stdout (JSONL by default, `--format csv` for
 /// CSV); a summary goes to stderr.
 fn run_batch_local(dir: &str, args: &[String]) -> Result<ExitCode, String> {
-    let flag = |name: &str| args.iter().any(|a| a == name);
     let jobs = opt(args, "--jobs")?.unwrap_or(0);
     let csv = match raw(args, "--format")?.map(|s| s.as_str()) {
         None | Some("jsonl") => false,
         Some("csv") => true,
         Some(other) => return Err(format!("bad --format `{other}` (jsonl|csv)")),
     };
-    let certify = scada_analyzer::CertifyOptions {
-        enabled: flag("--certify"),
-        ..scada_analyzer::CertifyOptions::default()
-    };
+    let (ctx, _) = cli::query_context(args, &["--certify"])?;
     let engine = scada_analyzer::service::Engine::new(scada_analyzer::service::ServeOptions {
-        certify,
+        certify: ctx.certify,
         ..scada_analyzer::service::ServeOptions::default()
     });
     let submit = |line: &str| engine.handle_line(line).line;
@@ -744,7 +621,7 @@ impl RemoteOutcome {
 /// Runs as a client of a `scadad` service: load the model, then issue
 /// the selected queries over the wire. Exit codes mirror local mode.
 fn run_client(addr: &str, args: &[String]) -> Result<ExitCode, String> {
-    let flag = |name: &str| args.iter().any(|a| a == name);
+    let flag = |name: &str| cli::flag(args, name);
 
     if let Some(dir) = raw(args, "--batch")? {
         // Remote batch takes --jobs (forwarded to the service) and
@@ -864,10 +741,7 @@ fn run_client(addr: &str, args: &[String]) -> Result<ExitCode, String> {
     spec_wire.push_str(&format!(",\"r\":{r},\"links\":{links}}}"));
 
     let mut limit_fields: Vec<String> = Vec::new();
-    if let Some(v) = raw(args, "--timeout")? {
-        let Some(timeout) = parse_duration(v) else {
-            return Err(format!("bad --timeout `{v}` (use e.g. 150ms, 5s, 2m)"));
-        };
+    if let Some(timeout) = cli::timeout(args)? {
         limit_fields.push(format!("\"timeout_ms\":{}", timeout.as_millis()));
     }
     if let Some(budget) = opt::<u64>(args, "--conflict-budget")? {

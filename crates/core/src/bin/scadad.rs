@@ -12,8 +12,6 @@
 //!                    sessions and the verdict cache, routed by model
 //!                    hash (default 1; totals below are divided across
 //!                    shards; >1 also replicates hot verdicts)
-//!   --thread-per-conn with --listen, use the legacy one-thread-per-
-//!                    connection transport instead of the event loop
 //!   --sessions N     warm analyzer sessions kept alive (default 8)
 //!   --cache N        cached verdicts kept (default 1024, 0 disables)
 //!   --max-inflight N concurrent queries admitted (0 = one per core)
@@ -73,11 +71,11 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use scada_analyzer::cli::{self, opt, raw};
 use scada_analyzer::service::{
-    serve_stdio, serve_tcp, signal, Durability, FaultPlan, JournalConfig, JournaledEngine,
-    LineHandler, ServeOptions, ShardedEngine,
+    serve_stdio, signal, Durability, FaultPlan, JournalConfig, JournaledEngine, LineHandler,
+    ServeOptions, ShardedEngine,
 };
-use scada_analyzer::{CertifyOptions, JsonlTracer, Obs};
 
 /// Exit code for a journal that fails closed: validation at open, or a
 /// replay that cannot reproduce the recorded lineage.
@@ -94,57 +92,29 @@ fn main() -> ExitCode {
     }
 }
 
-/// The value following option `name`, if the option is present.
-///
-/// # Errors
-///
-/// The option being present without a value is a usage error.
-fn raw<'a>(args: &'a [String], name: &str) -> Result<Option<&'a String>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(v) => Ok(Some(v)),
-            None => Err(format!("{name} requires a value")),
-        },
-    }
-}
-
-/// A numeric option. Malformed values are usage errors, not silent
-/// fallbacks to the default.
-fn opt<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    match raw(args, name)? {
-        None => Ok(None),
-        Some(v) => v
-            .parse::<T>()
-            .map(Some)
-            .map_err(|_| format!("bad {name} `{v}` (expected a number)")),
-    }
-}
-
 /// Serves the chosen transport, generic over the handler so the bare
 /// sharded engine and the journal wrapper share every code path: a
-/// bound listener runs the readiness event loop where available (unix,
-/// thread-per-connection elsewhere or on request); otherwise stdio.
+/// bound listener runs the readiness event loop on unix and the
+/// thread-per-connection transport elsewhere; otherwise stdio.
 fn serve<H: LineHandler>(
     engine: Arc<H>,
     listener: Option<std::net::TcpListener>,
-    thread_per_conn: bool,
 ) -> std::io::Result<()> {
     let Some(listener) = listener else {
         return serve_stdio(&*engine, std::io::stdin(), std::io::stdout());
     };
     #[cfg(unix)]
     {
-        if !thread_per_conn {
-            return scada_analyzer::service::serve_event_loop(engine, listener, 0);
-        }
+        scada_analyzer::service::serve_event_loop(engine, listener, 0)
     }
-    let _ = thread_per_conn;
-    serve_tcp(engine, listener)
+    #[cfg(not(unix))]
+    {
+        scada_analyzer::service::serve_tcp(engine, listener)
+    }
 }
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
-    let flag = |name: &str| args.iter().any(|a| a == name);
+    let flag = |name: &str| cli::flag(args, name);
     const TAKES_VALUE: [&str; 11] = [
         "--listen",
         "--shards",
@@ -175,27 +145,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
     }
 
-    let mut certify = CertifyOptions {
-        enabled: flag("--certify"),
-        ..CertifyOptions::default()
-    };
-    if let Some(dir) = raw(args, "--proof-dir")? {
-        let dir = std::path::PathBuf::from(dir);
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| format!("cannot create proof dir {}: {e}", dir.display()))?;
-        certify.proof_dir = Some(dir);
-        certify.enabled = true;
-    }
-
-    let mut obs = Obs::none();
-    let mut tracer: Option<Arc<JsonlTracer>> = None;
-    if let Some(trace_path) = raw(args, "--trace")? {
-        let sink = JsonlTracer::to_file(std::path::Path::new(trace_path))
-            .map_err(|e| format!("cannot create trace file {trace_path}: {e}"))?;
-        let sink = Arc::new(sink);
-        tracer = Some(sink.clone());
-        obs = obs.with_tracer(sink);
-    }
+    let (ctx, (tracer, _)) = cli::query_context(args, &["--certify", "--proof-dir", "--trace"])?;
 
     let fleet_root = match raw(args, "--fleet-root")? {
         None => None,
@@ -214,8 +164,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         cache: opt(args, "--cache")?.unwrap_or(defaults.cache),
         max_inflight: opt(args, "--max-inflight")?.unwrap_or(defaults.max_inflight),
         max_line: opt(args, "--max-line")?.unwrap_or(defaults.max_line),
-        obs,
-        certify,
+        obs: ctx.obs,
+        certify: ctx.certify,
         fleet_root,
     };
 
@@ -226,10 +176,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let shards: usize = opt(args, "--shards")?.unwrap_or(1);
     if shards == 0 {
         return Err("--shards must be at least 1".to_string());
-    }
-    let thread_per_conn = flag("--thread-per-conn");
-    if thread_per_conn && listen.is_none() {
-        return Err("--thread-per-conn requires --listen".to_string());
     }
 
     let journal_dir = raw(args, "--journal")?.cloned();
@@ -317,9 +263,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     })
                     .map_err(|e| format!("cannot spawn recovery thread: {e}"))?;
             }
-            serve(journaled, listener, thread_per_conn)
+            serve(journaled, listener)
         }
-        None => serve(engine, listener, thread_per_conn),
+        None => serve(engine, listener),
     };
     if let Err(e) = served {
         eprintln!("error: transport failed: {e}");

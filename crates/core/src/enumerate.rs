@@ -20,7 +20,7 @@ use std::time::Instant;
 use crate::encode::SearchOutcome;
 use crate::input::AnalysisInput;
 use crate::obs::{next_query_id, TraceEvent};
-use crate::spec::{Property, QueryLimits, ResiliencySpec};
+use crate::spec::{Property, QueryContext, QueryLimits, ResiliencySpec};
 use crate::threat::ThreatVector;
 use crate::verify::{Analyzer, Verdict};
 
@@ -75,55 +75,34 @@ impl ThreatSpace {
 /// Enumerates all minimal threat vectors for a property within a budget.
 ///
 /// Blocking clauses are added permanently to the encoder, so this
-/// constructs a fresh [`Analyzer`] internally; `cap` bounds the number of
-/// vectors returned. Runs unbounded — see [`enumerate_threats_limited`]
-/// for the resource-bounded variant.
+/// constructs a fresh [`Analyzer`] from `ctx` internally (with the
+/// default context, exactly [`Analyzer::new`]); `cap` bounds the number
+/// of vectors returned.
+///
+/// `ctx.limits`' per-query timeout is anchored once for the *whole*
+/// enumeration (one run = one query's wall-clock allowance); the
+/// conflict budget and retry policy apply to each violation search. A
+/// search stopped by a limit ends the run with `truncated` and
+/// `undecided` both set.
 pub fn enumerate_threats(
     input: &AnalysisInput,
     property: Property,
     spec: ResiliencySpec,
     cap: usize,
+    ctx: &QueryContext,
 ) -> ThreatSpace {
-    enumerate_threats_limited(input, property, spec, cap, &QueryLimits::none())
+    let mut analyzer = Analyzer::with_options(input, ctx.obs.clone(), ctx.certify.clone());
+    enumerate_threats_with(&mut analyzer, property, spec, cap, &ctx.limits)
 }
 
-/// Enumerates minimal threat vectors under resource limits.
-///
-/// The limits' per-query timeout is anchored once for the *whole*
-/// enumeration (one run = one query's wall-clock allowance); the
-/// conflict budget and retry policy apply to each violation search. A
-/// search stopped by a limit ends the run with `truncated` and
-/// `undecided` both set.
-pub fn enumerate_threats_limited(
-    input: &AnalysisInput,
-    property: Property,
-    spec: ResiliencySpec,
-    cap: usize,
-    limits: &QueryLimits,
-) -> ThreatSpace {
-    let mut analyzer = Analyzer::new(input);
-    enumerate_threats_with_limited(&mut analyzer, property, spec, cap, limits)
-}
-
-/// Enumeration over an existing analyzer.
+/// Enumeration over an existing analyzer, under `limits` (see
+/// [`enumerate_threats`] for the limit semantics).
 ///
 /// The blocking clauses stay in the analyzer's solver afterwards: later
 /// queries on the same analyzer will not see the enumerated vectors (or
 /// their supersets) as threats. Use a dedicated analyzer unless that is
-/// intended. Runs unbounded — see [`enumerate_threats_with_limited`].
+/// intended.
 pub fn enumerate_threats_with(
-    analyzer: &mut Analyzer<'_>,
-    property: Property,
-    spec: ResiliencySpec,
-    cap: usize,
-) -> ThreatSpace {
-    enumerate_threats_with_limited(analyzer, property, spec, cap, &QueryLimits::none())
-}
-
-/// Resource-bounded enumeration over an existing analyzer; see
-/// [`enumerate_threats_limited`] for the limit semantics and
-/// [`enumerate_threats_with`] for the blocking-clause caveat.
-pub fn enumerate_threats_with_limited(
     analyzer: &mut Analyzer<'_>,
     property: Property,
     spec: ResiliencySpec,

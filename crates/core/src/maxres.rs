@@ -68,7 +68,9 @@ impl Analyzer<'_> {
         let limit = axis.limit(self.input());
         let mut max: Option<usize> = None;
         for k in 0..=limit {
-            let verdict = self.verify_limited(property, axis.spec(k, r), limits);
+            let verdict = self
+                .verify_with_report_limited(property, axis.spec(k, r), limits)
+                .verdict;
             if verdict.is_resilient() {
                 max = Some(k);
             } else {
@@ -82,18 +84,10 @@ impl Analyzer<'_> {
     /// from 0 up, the largest `k2` keeping the system resilient (`None`
     /// once no `k2` works). Stops at the first `k1` where even `k2 = 0`
     /// fails.
+    ///
+    /// Under `limits`, an `Unknown` verdict ends its row like a threat —
+    /// each row's `k2` is a sound lower bound on the true frontier.
     pub fn resiliency_frontier(
-        &mut self,
-        property: Property,
-        r: usize,
-    ) -> Vec<(usize, Option<usize>)> {
-        self.resiliency_frontier_limited(property, r, &QueryLimits::none())
-    }
-
-    /// [`Analyzer::resiliency_frontier`] under resource limits. Within a
-    /// row, an `Unknown` verdict ends the row like a threat — each row's
-    /// `k2` is a sound lower bound on the true frontier.
-    pub fn resiliency_frontier_limited(
         &mut self,
         property: Property,
         r: usize,
@@ -106,7 +100,11 @@ impl Analyzer<'_> {
             let mut best: Option<usize> = None;
             for k2 in 0..=max_rtus {
                 let spec = ResiliencySpec::split(k1, k2).with_corrupted(r);
-                if self.verify_limited(property, spec, limits).is_resilient() {
+                if self
+                    .verify_with_report_limited(property, spec, limits)
+                    .verdict
+                    .is_resilient()
+                {
                     best = Some(k2);
                 } else {
                     break;

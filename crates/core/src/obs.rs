@@ -20,8 +20,8 @@
 //!   both binaries) or folded into the experiment CSVs.
 //!
 //! [`Obs`] bundles the two and is threaded through the verification
-//! engine ([`crate::Analyzer::with_obs`]), the parallel fleet
-//! (`*_observed` in [`crate::parallel`]), threat enumeration, and
+//! engine ([`crate::Analyzer::with_options`]), the parallel fleet and
+//! threat enumeration (the `obs` field of [`crate::QueryContext`]), and
 //! synthesis. `Obs::none()` is the no-op default everywhere.
 
 use std::collections::BTreeMap;

@@ -10,7 +10,7 @@
 //! Each worker owns its own [`Analyzer`] (the encoder and solver are
 //! single-threaded, `&mut`-stateful structures and are never shared);
 //! jobs are distributed work-stealing-style over a shared injector
-//! queue ([`crate::pool`]), and results are returned in deterministic
+//! queue (`crate::pool`), and results are returned in deterministic
 //! input order regardless of scheduling. Sweep shapes early-cancel:
 //! once some budget `k` is known non-resilient, all queries at `k' ≥ k`
 //! are redundant and are skipped on every worker.
@@ -31,8 +31,13 @@
 //! drained. One poisoned query never deadlocks the fleet or masks its
 //! own root cause behind secondary "poisoned mutex" panics.
 //!
-//! **Degradation.** The `_limited` variants thread [`QueryLimits`]
-//! through every query. In sweeps, an `Unknown` verdict is conservatively
+//! **One context.** Every entry point takes a [`QueryContext`]: its
+//! [`QueryLimits`] bound every query, its [`Obs`] receives fleet and
+//! query events, and its [`crate::CertifyOptions`] make every worker's
+//! analyzer certify into one shared log. The default context is plain,
+//! unlimited behaviour.
+//!
+//! **Degradation.** In sweeps, an `Unknown` verdict is conservatively
 //! treated as *not proven resilient*, so bounded sweep answers are sound
 //! lower bounds on the true resiliency (see DESIGN.md, "Degradation
 //! semantics").
@@ -42,13 +47,13 @@
 //! ```
 //! use scada_analyzer::casestudy::five_bus_case_study;
 //! use scada_analyzer::parallel::verify_batch;
-//! use scada_analyzer::{Property, ResiliencySpec};
+//! use scada_analyzer::{Property, QueryContext, ResiliencySpec};
 //!
 //! let input = five_bus_case_study();
 //! let queries: Vec<_> = (0..3)
 //!     .map(|k| (Property::Observability, ResiliencySpec::total(k)))
 //!     .collect();
-//! let reports = verify_batch(&input, &queries, 2);
+//! let reports = verify_batch(&input, &queries, 2, &QueryContext::default());
 //! assert_eq!(reports.len(), 3);
 //! assert!(reports[0].verdict.is_resilient());
 //! ```
@@ -57,56 +62,36 @@ use std::sync::atomic::AtomicBool;
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use crate::certify::CertifyOptions;
 use crate::input::AnalysisInput;
 use crate::maxres::BudgetAxis;
 use crate::obs::{Obs, TraceEvent};
 use crate::pool::{effective_jobs, run_workers_guarded, CancelBound, FleetGuard, Injector};
-use crate::spec::{Property, QueryLimits, ResiliencySpec};
+use crate::spec::{Property, QueryContext, QueryLimits, ResiliencySpec};
 use crate::verify::{Analyzer, VerificationReport};
 
 /// Applies `f` to every item on `jobs` workers, returning results in
 /// input order. `jobs = 0` uses all available parallelism; `jobs = 1`
 /// runs inline (the serial baseline).
 ///
-/// A panicking call is isolated: siblings finish (or are skipped), then
-/// the first panic is re-raised here with its original payload.
+/// `f` also receives the fleet's shared cancellation flag, for
+/// threading into [`QueryLimits::with_interrupt`] so that a panic in
+/// one job interrupts sibling solves *in flight* instead of merely
+/// skipping queued ones. Each worker reports its jobs run through `obs`
+/// when it drains, and an observed fleet cancellation is traced;
+/// per-query events are the closure's business (thread an [`Obs`] into
+/// the analyzers it builds).
 ///
 /// This is the generic fan-out primitive under [`verify_batch`]; the
 /// bench harness reuses it to spread whole workloads across cores.
-pub fn par_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_cancellable(items, jobs, |index, item, _| f(index, item))
-}
-
-/// [`par_map`] with fleet cancellation: `f` additionally receives the
-/// fleet's shared cancellation flag, for threading into
-/// [`QueryLimits::with_interrupt`] so that a panic in one job interrupts
-/// sibling solves *in flight* instead of merely skipping queued ones.
 ///
 /// # Panics
 ///
-/// Re-raises the first job panic after the whole fleet has drained.
-/// (With a panicking job the fleet is cancelled, so some results never
-/// materialize; they are discarded along with the fleet.)
-pub fn par_map_cancellable<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T, &Arc<AtomicBool>) -> R + Sync,
-{
-    par_map_observed(items, jobs, &Obs::none(), f)
-}
-
-/// [`par_map_cancellable`] with fleet observability: each worker reports
-/// its jobs run/skipped through `obs` when it drains, and an observed
-/// fleet cancellation is traced. Per-query events are the closure's
-/// business (thread an [`Obs`] into the analyzers it builds).
-pub fn par_map_observed<T, R, F>(items: &[T], jobs: usize, obs: &Obs, f: F) -> Vec<R>
+/// A panicking call is isolated: siblings finish (or are skipped), then
+/// the first panic is re-raised here with its original payload, after
+/// the whole fleet has drained. (With a panicking job the fleet is
+/// cancelled, so some results never materialize; they are discarded
+/// along with the fleet.)
+pub fn par_map<T, R, F>(items: &[T], jobs: usize, obs: &Obs, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -170,67 +155,34 @@ fn fleet_limits(limits: &QueryLimits, cancel: &Arc<AtomicBool>) -> QueryLimits {
 /// Every query is solved on a fresh model, so the reports (verdicts
 /// *and* threat vectors) are identical to running each query serially
 /// from scratch — only the wall-clock changes with `jobs`.
+///
+/// Each query gets its own copy of `ctx.limits` (deadline, conflict
+/// budget, retry policy), and — unless the caller installed an
+/// interrupt flag of their own — the fleet's cancellation flag, so a
+/// panicking sibling cancels in-flight solves. Queries stopped by a
+/// limit report [`crate::Verdict::Unknown`]; the rest of the batch is
+/// unaffected. Fleet events and per-worker drain reports flow through
+/// `ctx.obs`, and every per-query analyzer carries it too. With
+/// `ctx.certify` enabled every worker's analyzer independently
+/// re-checks its verdicts (see [`crate::certify`]); the certificates
+/// land on the returned reports and in the one shared `certify.log`.
 pub fn verify_batch(
     input: &AnalysisInput,
     queries: &[(Property, ResiliencySpec)],
     jobs: usize,
+    ctx: &QueryContext,
 ) -> Vec<VerificationReport> {
-    verify_batch_limited(input, queries, jobs, &QueryLimits::none())
-}
-
-/// [`verify_batch`] under resource limits: each query gets its own copy
-/// of `limits` (deadline, conflict budget, retry policy), and — unless
-/// the caller installed an interrupt flag of their own — the fleet's
-/// cancellation flag, so a panicking sibling cancels in-flight solves.
-/// Queries stopped by a limit report [`crate::Verdict::Unknown`]; the
-/// rest of the batch is unaffected.
-pub fn verify_batch_limited(
-    input: &AnalysisInput,
-    queries: &[(Property, ResiliencySpec)],
-    jobs: usize,
-    limits: &QueryLimits,
-) -> Vec<VerificationReport> {
-    verify_batch_observed(input, queries, jobs, limits, &Obs::none())
-}
-
-/// [`verify_batch_limited`] with observability: fleet events and
-/// per-worker drain reports through `obs`, and every per-query analyzer
-/// carries `obs` so query-lifecycle events flow too.
-pub fn verify_batch_observed(
-    input: &AnalysisInput,
-    queries: &[(Property, ResiliencySpec)],
-    jobs: usize,
-    limits: &QueryLimits,
-    obs: &Obs,
-) -> Vec<VerificationReport> {
-    verify_batch_certified(
-        input,
-        queries,
-        jobs,
+    let QueryContext {
         limits,
         obs,
-        &CertifyOptions::default(),
-    )
-}
-
-/// [`verify_batch_observed`] with verdict certification: every worker's
-/// analyzer independently re-checks its verdicts (see [`crate::certify`])
-/// and the certificates land on the returned reports and in
-/// `certify.log` (shared across the fleet — workers tally into one log).
-pub fn verify_batch_certified(
-    input: &AnalysisInput,
-    queries: &[(Property, ResiliencySpec)],
-    jobs: usize,
-    limits: &QueryLimits,
-    obs: &Obs,
-    certify: &CertifyOptions,
-) -> Vec<VerificationReport> {
+        certify,
+    } = ctx;
     obs.trace(|| TraceEvent::FleetStart {
         label: "verify_batch",
         jobs: effective_jobs(jobs),
         items: queries.len(),
     });
-    par_map_observed(queries, jobs, obs, |_, &(property, spec), cancel| {
+    par_map(queries, jobs, obs, |_, &(property, spec), cancel| {
         let per_query = fleet_limits(limits, cancel);
         Analyzer::with_options(input, obs.clone(), certify.clone())
             .verify_with_report_limited(property, spec, &per_query)
@@ -247,71 +199,26 @@ pub fn verify_batch_certified(
 /// scan's for *any* property behaviour (not only monotone ones): it is
 /// one below the smallest non-resilient budget, with every smaller
 /// budget actually verified resilient.
+///
+/// Under `ctx.limits`, a budget whose query comes back `Unknown` counts
+/// as *not proven resilient* — it stops the sweep exactly like a threat
+/// — so the answer is a sound lower bound on the true maximum
+/// resiliency (and equals it whenever no query was cut short). Fleet
+/// events and cancel-bound cuts flow through `ctx.obs`; every worker's
+/// analyzer certifies into `ctx.certify.log` when enabled.
 pub fn par_max_resiliency(
     input: &AnalysisInput,
     property: Property,
     axis: BudgetAxis,
     r: usize,
     jobs: usize,
+    ctx: &QueryContext,
 ) -> Option<usize> {
-    par_max_resiliency_limited(input, property, axis, r, jobs, &QueryLimits::none())
-}
-
-/// [`par_max_resiliency`] under resource limits. A budget whose query
-/// comes back `Unknown` counts as *not proven resilient* — it stops the
-/// sweep exactly like a threat — so the answer is a sound lower bound
-/// on the true maximum resiliency (and equals it whenever no query was
-/// cut short).
-pub fn par_max_resiliency_limited(
-    input: &AnalysisInput,
-    property: Property,
-    axis: BudgetAxis,
-    r: usize,
-    jobs: usize,
-    limits: &QueryLimits,
-) -> Option<usize> {
-    par_max_resiliency_observed(input, property, axis, r, jobs, limits, &Obs::none())
-}
-
-/// [`par_max_resiliency_limited`] with observability: fleet events,
-/// cancel-bound cuts, and per-worker drain reports through `obs`, with
-/// query-lifecycle events from every worker's analyzer.
-#[allow(clippy::too_many_arguments)]
-pub fn par_max_resiliency_observed(
-    input: &AnalysisInput,
-    property: Property,
-    axis: BudgetAxis,
-    r: usize,
-    jobs: usize,
-    limits: &QueryLimits,
-    obs: &Obs,
-) -> Option<usize> {
-    par_max_resiliency_certified(
-        input,
-        property,
-        axis,
-        r,
-        jobs,
+    let QueryContext {
         limits,
         obs,
-        &CertifyOptions::default(),
-    )
-}
-
-/// [`par_max_resiliency_observed`] with verdict certification: every
-/// worker runs a certifying analyzer; certificates tally into
-/// `certify.log`.
-#[allow(clippy::too_many_arguments)]
-pub fn par_max_resiliency_certified(
-    input: &AnalysisInput,
-    property: Property,
-    axis: BudgetAxis,
-    r: usize,
-    jobs: usize,
-    limits: &QueryLimits,
-    obs: &Obs,
-    certify: &CertifyOptions,
-) -> Option<usize> {
+        certify,
+    } = ctx;
     let jobs = effective_jobs(jobs);
     let limit = axis.limit(input);
     obs.trace(|| TraceEvent::FleetStart {
@@ -337,9 +244,11 @@ pub fn par_max_resiliency_certified(
                 continue;
             }
             let per_query = fleet_limits(limits, &cancel);
-            let Some(verdict) =
-                guard.run_job(|| analyzer.verify_limited(property, axis.spec(k, r), &per_query))
-            else {
+            let Some(verdict) = guard.run_job(|| {
+                analyzer
+                    .verify_with_report_limited(property, axis.spec(k, r), &per_query)
+                    .verdict
+            }) else {
                 // This worker's analyzer may be mid-query after a panic;
                 // stop using it. The fleet is cancelled either way.
                 break;
@@ -375,64 +284,24 @@ pub fn par_max_resiliency_certified(
 /// Rows are the unit of work: each worker sweeps whole `k1` rows with
 /// its own incremental analyzer, and the first row proven hopeless
 /// (`best = None`) early-cancels all higher rows.
+///
+/// Under `ctx.limits`, an `Unknown` verdict ends its row like a threat
+/// (the reported `k2` is a sound lower bound); a row whose `k2 = 0`
+/// query is `Unknown` counts as hopeless and ends the frontier. Fleet
+/// events and cutoff cuts flow through `ctx.obs`; every worker's
+/// analyzer certifies into `ctx.certify.log` when enabled.
 pub fn par_resiliency_frontier(
     input: &AnalysisInput,
     property: Property,
     r: usize,
     jobs: usize,
+    ctx: &QueryContext,
 ) -> Vec<(usize, Option<usize>)> {
-    par_resiliency_frontier_limited(input, property, r, jobs, &QueryLimits::none())
-}
-
-/// [`par_resiliency_frontier`] under resource limits. Within a row, an
-/// `Unknown` verdict ends the row like a threat (the reported `k2` is a
-/// sound lower bound); a row whose `k2 = 0` query is `Unknown` counts as
-/// hopeless and ends the frontier.
-pub fn par_resiliency_frontier_limited(
-    input: &AnalysisInput,
-    property: Property,
-    r: usize,
-    jobs: usize,
-    limits: &QueryLimits,
-) -> Vec<(usize, Option<usize>)> {
-    par_resiliency_frontier_observed(input, property, r, jobs, limits, &Obs::none())
-}
-
-/// [`par_resiliency_frontier_limited`] with observability: fleet events,
-/// cutoff cuts, and per-worker drain reports through `obs`, with
-/// query-lifecycle events from every worker's analyzer.
-pub fn par_resiliency_frontier_observed(
-    input: &AnalysisInput,
-    property: Property,
-    r: usize,
-    jobs: usize,
-    limits: &QueryLimits,
-    obs: &Obs,
-) -> Vec<(usize, Option<usize>)> {
-    par_resiliency_frontier_certified(
-        input,
-        property,
-        r,
-        jobs,
+    let QueryContext {
         limits,
         obs,
-        &CertifyOptions::default(),
-    )
-}
-
-/// [`par_resiliency_frontier_observed`] with verdict certification:
-/// every worker runs a certifying analyzer; certificates tally into
-/// `certify.log`.
-#[allow(clippy::too_many_arguments)]
-pub fn par_resiliency_frontier_certified(
-    input: &AnalysisInput,
-    property: Property,
-    r: usize,
-    jobs: usize,
-    limits: &QueryLimits,
-    obs: &Obs,
-    certify: &CertifyOptions,
-) -> Vec<(usize, Option<usize>)> {
+        certify,
+    } = ctx;
     let jobs = effective_jobs(jobs);
     let max_ieds = input.topology.ieds().count();
     let max_rtus = input.topology.rtus().count();
@@ -468,7 +337,8 @@ pub fn par_resiliency_frontier_certified(
                     let spec = ResiliencySpec::split(k1, k2).with_corrupted(r);
                     let per_query = fleet_limits(limits, &cancel);
                     if analyzer
-                        .verify_limited(property, spec, &per_query)
+                        .verify_with_report_limited(property, spec, &per_query)
+                        .verdict
                         .is_resilient()
                     {
                         best = Some(k2);
@@ -535,7 +405,7 @@ mod tests {
     fn par_map_preserves_order() {
         let items: Vec<usize> = (0..257).collect();
         for jobs in [1, 2, 8] {
-            let doubled = par_map(&items, jobs, |i, &x| {
+            let doubled = par_map(&items, jobs, &Obs::none(), |i, &x, _| {
                 assert_eq!(i, x);
                 x * 2
             });
@@ -552,7 +422,7 @@ mod tests {
             .map(|&(p, s)| Analyzer::new(&input).verify_with_report(p, s))
             .collect();
         for jobs in [1, 2, 8] {
-            let parallel = verify_batch(&input, &queries, jobs);
+            let parallel = verify_batch(&input, &queries, jobs, &QueryContext::default());
             assert_eq!(parallel.len(), serial.len());
             for (p, s) in parallel.iter().zip(&serial) {
                 assert_eq!(p.property, s.property);
@@ -574,7 +444,14 @@ mod tests {
                 let serial = Analyzer::new(&input).max_resiliency(property, axis, 1);
                 for jobs in [1, 2, 8] {
                     assert_eq!(
-                        par_max_resiliency(&input, property, axis, 1, jobs),
+                        par_max_resiliency(
+                            &input,
+                            property,
+                            axis,
+                            1,
+                            jobs,
+                            &QueryContext::default()
+                        ),
                         serial,
                         "{property} along {axis:?} with jobs={jobs}"
                     );
@@ -587,10 +464,11 @@ mod tests {
     fn frontier_matches_serial() {
         let input = five_bus_case_study();
         for property in [Property::Observability, Property::SecuredObservability] {
-            let serial = Analyzer::new(&input).resiliency_frontier(property, 1);
+            let serial =
+                Analyzer::new(&input).resiliency_frontier(property, 1, &QueryLimits::none());
             for jobs in [1, 2, 8] {
                 assert_eq!(
-                    par_resiliency_frontier(&input, property, 1, jobs),
+                    par_resiliency_frontier(&input, property, 1, jobs, &QueryContext::default()),
                     serial,
                     "{property} with jobs={jobs}"
                 );
@@ -602,7 +480,7 @@ mod tests {
     fn zero_jobs_means_available_parallelism() {
         let input = five_bus_case_study();
         let queries = [(Property::Observability, ResiliencySpec::total(1))];
-        let reports = verify_batch(&input, &queries, 0);
+        let reports = verify_batch(&input, &queries, 0, &QueryContext::default());
         assert!(reports[0].verdict.is_resilient());
     }
 }

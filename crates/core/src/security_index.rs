@@ -23,7 +23,7 @@
 //!   that value a lower bound on every cut, and the gadget lemma makes
 //!   every attack that cuts the line such a cut;
 //! * *upper bound* — the min cut's source side is re-priced as an
-//!   attack by [`priced_affected`], must separate the line's ends and
+//!   attack by `priced_affected`, must separate the line's ends and
 //!   must perturb the target.
 //!
 //! **SAT oracle.** [`SecurityIndexAnalyzer`] answers the same question

@@ -2,19 +2,18 @@
 //!
 //! The thread-per-connection transport ([`serve_tcp`]) spends a thread
 //! per client to do almost nothing — block on a read, hand one line to
-//! the engine, write one line back. This module replaces it with a
-//! single event-loop thread over non-blocking sockets (see [`poll`] for
-//! the readiness primitive) plus a small executor pool that runs the
-//! actual requests, so a thousand idle connections cost a thousand
+//! the engine, write one line back. On unix this module replaces it with
+//! a single event-loop thread over non-blocking sockets (the private
+//! `poll` module is the readiness primitive) plus a small executor pool
+//! that runs the actual requests, so a thousand idle connections cost a thousand
 //! sockets, not a thousand stacks.
 //!
 //! [`serve_tcp`]: super::server::serve_tcp
-//! [`poll`]: super::poll
 //!
 //! # Pipelining
 //!
 //! A client may write many request lines without waiting for replies.
-//! The loop frames them ([`LineScanner`]), queues up to
+//! The loop frames them (`LineScanner`), queues up to
 //! [`MAX_PIPELINE`] per connection (beyond that it simply stops reading
 //! — TCP backpressure does the rest), and executes them **serially per
 //! connection** — one request in flight at a time, exactly the

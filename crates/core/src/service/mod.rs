@@ -23,7 +23,7 @@
 //! * [`replica`] — hot verdict-cache entries replicated read-mostly
 //!   across shards with epoch invalidation on patch/evict;
 //! * [`eventloop`] (unix) — a readiness-driven TCP front-end over
-//!   non-blocking sockets ([`poll`] wraps `epoll` with a portable
+//!   non-blocking sockets (`poll` wraps `epoll` with a portable
 //!   fallback): one thread per core instead of one per connection, with
 //!   request pipelining — requests tagged with an `id` are answered in
 //!   submission order on the same connection;

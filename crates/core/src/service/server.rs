@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use crate::casestudy::five_bus_case_study;
 use crate::certify::{Certificate, CertifyOptions};
-use crate::enumerate::enumerate_threats_with_limited;
+use crate::enumerate::enumerate_threats_with;
 use crate::input::AnalysisInput;
 use crate::obs::{MetricsRegistry, Obs, TraceEvent};
 use crate::patch::ModelPatch;
@@ -422,13 +422,8 @@ impl Engine {
                     // input.
                     let input = analyzer.input().clone();
                     let mut fresh = Analyzer::owning(input, obs, certify);
-                    let space = enumerate_threats_with_limited(
-                        &mut fresh,
-                        property,
-                        spec,
-                        cap,
-                        &query_limits,
-                    );
+                    let space =
+                        enumerate_threats_with(&mut fresh, property, spec, cap, &query_limits);
                     Ok(QueryReply::Enumerate {
                         vectors: space.vectors,
                         truncated: space.truncated,

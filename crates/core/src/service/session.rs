@@ -374,7 +374,8 @@ impl SessionManager {
     }
 
     /// Evicts the session for `model`, if warm. The worker finishes any
-    /// in-flight query, then exits; its handle is joined at shutdown.
+    /// in-flight query, then exits; its handle is reaped by a later
+    /// retirement once finished, or joined at shutdown.
     pub fn evict(&mut self, model: ModelHash) -> bool {
         let Some(pos) = self.sessions.iter().position(|s| s.model == model) else {
             return false;
@@ -390,6 +391,10 @@ impl SessionManager {
     }
 
     fn retire(&mut self, session: Session) {
+        // Workers retired earlier that have since exited need no join:
+        // drop their handles so `retired` stays bounded by the workers
+        // still draining, not by every eviction since startup.
+        self.retired.retain(|handle| !handle.is_finished());
         // Dropping the sender ends the worker's recv loop after it
         // drains in-flight jobs.
         let Session { handle, .. } = session;
@@ -481,6 +486,23 @@ mod tests {
             .dispatch(model, verify_query(ResiliencySpec::split(1, 1)))
             .is_none());
         mgr.shutdown();
+    }
+
+    #[test]
+    fn retired_handles_are_reaped_once_finished() {
+        let mut mgr = SessionManager::new(4, Obs::none(), CertifyOptions::default());
+        let input = five_bus_case_study();
+        for _ in 0..50 {
+            let (model, _) = mgr.ensure(&input);
+            assert!(mgr.evict(model));
+            // Let the evicted worker exit before the next retirement.
+            while !mgr.retired.iter().all(|h| h.is_finished()) {
+                std::thread::yield_now();
+            }
+        }
+        assert!(mgr.retired.len() <= 1, "{} handles kept", mgr.retired.len());
+        mgr.shutdown();
+        assert!(mgr.retired.is_empty());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   to the owning shard;
 //! * **`patch`** advances the lineage hash first; when the post-patch
 //!   hash routes to a different shard, the warm session and its
-//!   surviving cache entries migrate ([`Engine::patch_into`]) instead
+//!   surviving cache entries migrate (`Engine::patch_into`) instead
 //!   of being rebuilt;
 //! * **`shutdown`** flips every shard to draining *before* the
 //!   acknowledging shard answers, so no shard admits work while its

@@ -13,7 +13,7 @@
 //! `Pending` poll) and turns the flag into `LineHandler::begin_drain`,
 //! after which the normal drain path runs and the process exits 0.
 //!
-//! Like [`poll`](super::poll), the Linux implementation issues the raw
+//! Like the private `poll` module, the Linux implementation issues the raw
 //! `rt_sigaction` syscall via inline assembly (no libc binding is
 //! available); elsewhere [`install`] reports `Unsupported` and the
 //! service simply keeps its previous behavior (drain on `shutdown`

@@ -5,6 +5,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::certify::CertifyOptions;
+use crate::obs::Obs;
+
 /// The property whose resiliency is being verified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Property {
@@ -291,6 +294,43 @@ impl QueryLimits {
         solver.set_deadline(None);
         solver.set_interrupt(None);
     }
+}
+
+/// Everything a query entry point needs besides the question itself:
+/// resource limits, the observability handle, and certification.
+///
+/// The [`Default`] context is plain behaviour: unlimited queries, no
+/// tracing or metrics, no certification. Entry points that build their
+/// own analyzers ([`crate::verify_batch`], [`crate::par_max_resiliency`],
+/// [`crate::par_resiliency_frontier`], [`crate::enumerate_threats`])
+/// take a `&QueryContext`; methods on an existing [`crate::Analyzer`]
+/// take only [`QueryLimits`], because the analyzer already carries its
+/// `obs` and `certify`.
+///
+/// # Examples
+///
+/// ```
+/// use scada_analyzer::casestudy::five_bus_case_study;
+/// use scada_analyzer::{verify_batch, CertifyOptions, Property, QueryContext, ResiliencySpec};
+///
+/// let input = five_bus_case_study();
+/// let ctx = QueryContext {
+///     certify: CertifyOptions::enabled(),
+///     ..QueryContext::default()
+/// };
+/// let queries = [(Property::Observability, ResiliencySpec::split(1, 1))];
+/// let reports = verify_batch(&input, &queries, 1, &ctx);
+/// assert!(reports[0].verdict.is_resilient());
+/// assert_eq!(ctx.certify.log.failures(), 0);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct QueryContext {
+    /// Per-query resource limits.
+    pub limits: QueryLimits,
+    /// Trace sink and metrics registry for every analyzer built.
+    pub obs: Obs,
+    /// Verdict certification; checks tally into `certify.log`.
+    pub certify: CertifyOptions,
 }
 
 /// Parses a human-friendly duration: `150ms`, `5s`, `2m`, or a bare

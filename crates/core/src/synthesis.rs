@@ -131,45 +131,25 @@ pub fn apply_upgrades(
 /// Synthesizes a cardinality-minimal upgrade set making `property`
 /// `spec`-resilient.
 ///
+/// Every candidate tried is traced through `obs`
+/// (`pruned`/`threat`/`undecided`/`repaired`), as are the verification
+/// queries underneath, plus a final outcome event. With `certify`
+/// enabled every verification query underneath the search — the initial
+/// resiliency check and each candidate's — runs on a certifying
+/// analyzer, so the repaired verdict synthesis returns carries an
+/// independently checked proof (see [`crate::certify`]).
+///
+/// Synthesis takes no [`QueryLimits`](crate::QueryLimits) (and so no
+/// [`QueryContext`](crate::QueryContext)) on purpose: a candidate whose
+/// verification came back `Unknown` is skipped, so a resource limit
+/// could turn a repairable system into a false
+/// [`SynthesisResult::Infeasible`].
+///
 /// # Panics
 ///
 /// Panics if called for [`Property::Observability`] — plain observability
 /// does not depend on security profiles, so upgrades cannot repair it.
 pub fn synthesize_upgrades(
-    input: &AnalysisInput,
-    property: Property,
-    spec: ResiliencySpec,
-    options: &SynthesisOptions,
-) -> SynthesisResult {
-    synthesize_upgrades_observed(input, property, spec, options, &Obs::none())
-}
-
-/// [`synthesize_upgrades`] with observability: every candidate tried is
-/// traced through `obs` (`pruned`/`threat`/`undecided`/`repaired`), as
-/// are the verification queries underneath, plus a final outcome event.
-pub fn synthesize_upgrades_observed(
-    input: &AnalysisInput,
-    property: Property,
-    spec: ResiliencySpec,
-    options: &SynthesisOptions,
-    obs: &Obs,
-) -> SynthesisResult {
-    synthesize_upgrades_certified(
-        input,
-        property,
-        spec,
-        options,
-        obs,
-        &CertifyOptions::default(),
-    )
-}
-
-/// [`synthesize_upgrades_observed`] with verdict certification: every
-/// verification query underneath the search — the initial resiliency
-/// check and each candidate's — runs on a certifying analyzer, so the
-/// repaired verdict synthesis returns carries an independently checked
-/// proof (see [`crate::certify`]).
-pub fn synthesize_upgrades_certified(
     input: &AnalysisInput,
     property: Property,
     spec: ResiliencySpec,
@@ -344,6 +324,8 @@ mod tests {
             Property::SecuredObservability,
             spec,
             &SynthesisOptions::default(),
+            &Obs::none(),
+            &CertifyOptions::default(),
         );
         match result {
             SynthesisResult::Upgrades(upgrades) => {
@@ -379,6 +361,8 @@ mod tests {
             Property::SecuredObservability,
             ResiliencySpec::split(1, 0),
             &SynthesisOptions::default(),
+            &Obs::none(),
+            &CertifyOptions::default(),
         );
         assert_eq!(result, SynthesisResult::AlreadyResilient);
     }
@@ -392,6 +376,8 @@ mod tests {
             Property::Observability,
             ResiliencySpec::split(1, 1),
             &SynthesisOptions::default(),
+            &Obs::none(),
+            &CertifyOptions::default(),
         );
     }
 
@@ -411,6 +397,8 @@ mod tests {
             Property::SecuredObservability,
             spec,
             &SynthesisOptions::default(),
+            &Obs::none(),
+            &CertifyOptions::default(),
         );
         match result {
             SynthesisResult::Upgrades(upgrades) => {

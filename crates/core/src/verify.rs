@@ -110,12 +110,12 @@ pub struct VerificationReport {
 /// let limits = QueryLimits::none()
 ///     .with_conflict_budget(1)
 ///     .with_retry(RetryPolicy::escalating(32));
-/// let verdict = analyzer.verify_limited(
+/// let report = analyzer.verify_with_report_limited(
 ///     Property::Observability,
 ///     ResiliencySpec::split(2, 1),
 ///     &limits,
 /// );
-/// assert!(!verdict.is_unknown());
+/// assert!(!report.verdict.is_unknown());
 /// ```
 #[derive(Debug)]
 pub struct Analyzer<'a> {
@@ -136,17 +136,13 @@ pub struct Analyzer<'a> {
 impl<'a> Analyzer<'a> {
     /// Builds the analyzer (encodes the base model, enumerates paths).
     pub fn new(input: &'a AnalysisInput) -> Analyzer<'a> {
-        Analyzer::with_obs(input, Obs::none())
+        Analyzer::with_options(input, Obs::none(), CertifyOptions::default())
     }
 
-    /// Builds the analyzer with an observability handle: every query run
-    /// through this analyzer emits trace events and metrics through
-    /// `obs`. [`Obs::none`] makes this identical to [`Analyzer::new`].
-    pub fn with_obs(input: &'a AnalysisInput, obs: Obs) -> Analyzer<'a> {
-        Analyzer::with_options(input, obs, CertifyOptions::default())
-    }
-
-    /// Builds the analyzer with observability *and* certification. With
+    /// Builds the analyzer with an observability handle and
+    /// certification: every query run through this analyzer emits
+    /// trace events and metrics through `obs` ([`Obs::none`] and the
+    /// default `certify` make this identical to [`Analyzer::new`]). With
     /// `certify.enabled`, the solver mirrors every original clause and
     /// streams a DRAT proof, and each verdict is independently
     /// re-checked ([`crate::certify`]); the certificate lands on the
@@ -316,17 +312,6 @@ impl<'a> Analyzer<'a> {
     /// definite verdict (no resource limits).
     pub fn verify(&mut self, property: Property, spec: ResiliencySpec) -> Verdict {
         self.verify_with_report(property, spec).verdict
-    }
-
-    /// Verifies under resource limits; see [`QueryLimits`].
-    pub fn verify_limited(
-        &mut self,
-        property: Property,
-        spec: ResiliencySpec,
-        limits: &QueryLimits,
-    ) -> Verdict {
-        self.verify_with_report_limited(property, spec, limits)
-            .verdict
     }
 
     /// Verifies and returns timing/size measurements.

@@ -6,11 +6,20 @@
 
 use scada_analyzer::bruteforce::DirectEvaluator;
 use scada_analyzer::casestudy::five_bus_case_study;
+use scada_analyzer::synthesis::{synthesize_upgrades, SynthesisOptions};
 use scada_analyzer::{
-    enumerate_threats_with_limited, par_max_resiliency_certified, verify_batch_certified,
-    AnalysisInput, Analyzer, BudgetAxis, CertFault, Certificate, CertifyOptions, Obs, Property,
-    QueryLimits, ResiliencySpec, Verdict,
+    enumerate_threats_with, par_max_resiliency, par_resiliency_frontier, verify_batch,
+    AnalysisInput, Analyzer, BudgetAxis, CertFault, Certificate, CertifyOptions, MetricsRegistry,
+    Obs, Property, QueryContext, QueryLimits, ResiliencySpec, Verdict,
 };
+
+/// A context that certifies every verdict.
+fn certifying() -> QueryContext {
+    QueryContext {
+        certify: CertifyOptions::enabled(),
+        ..QueryContext::default()
+    }
+}
 
 fn all_specs() -> Vec<(Property, ResiliencySpec)> {
     let mut queries = Vec::new();
@@ -111,26 +120,23 @@ fn scada_bench_input(seed: u64) -> AnalysisInput {
 #[test]
 fn incremental_sweeps_certify_every_query() {
     let input = five_bus_case_study();
-    let serial = par_max_resiliency_certified(
+    let serial = par_max_resiliency(
         &input,
         Property::Observability,
         BudgetAxis::Total,
         0,
         1,
-        &QueryLimits::none(),
-        &Obs::none(),
-        &CertifyOptions::enabled(),
+        &certifying(),
     );
-    let certify = CertifyOptions::enabled();
-    let k = par_max_resiliency_certified(
+    let ctx = certifying();
+    let certify = &ctx.certify;
+    let k = par_max_resiliency(
         &input,
         Property::Observability,
         BudgetAxis::Total,
         0,
         2,
-        &QueryLimits::none(),
-        &Obs::none(),
-        &certify,
+        &ctx,
     );
     assert_eq!(k, serial, "certification must not change the sweep answer");
     assert!(certify.log.checks() >= 3, "every sweep query certifies");
@@ -147,7 +153,7 @@ fn enumeration_certifies_vectors_and_exhaustion() {
     let input = five_bus_case_study();
     let certify = CertifyOptions::enabled();
     let mut analyzer = Analyzer::with_options(&input, Obs::none(), certify.clone());
-    let space = enumerate_threats_with_limited(
+    let space = enumerate_threats_with(
         &mut analyzer,
         Property::Observability,
         ResiliencySpec::split(2, 1),
@@ -170,15 +176,9 @@ fn enumeration_certifies_vectors_and_exhaustion() {
 fn parallel_batch_certifies_into_one_shared_log() {
     let input = five_bus_case_study();
     let queries = all_specs();
-    let certify = CertifyOptions::enabled();
-    let reports = verify_batch_certified(
-        &input,
-        &queries,
-        4,
-        &QueryLimits::none(),
-        &Obs::none(),
-        &certify,
-    );
+    let ctx = certifying();
+    let certify = &ctx.certify;
+    let reports = verify_batch(&input, &queries, 4, &ctx);
     assert_eq!(reports.len(), queries.len());
     for report in &reports {
         let certificate = report.certificate.as_ref().expect("certified batch");
@@ -186,6 +186,47 @@ fn parallel_batch_certifies_into_one_shared_log() {
     }
     assert_eq!(certify.log.checks(), queries.len() as u64);
     assert_eq!(certify.log.failures(), 0);
+}
+
+/// The frontier sweep and upgrade synthesis under certification: the
+/// same answers as the plain default context, every verdict checked,
+/// and the frontier's fleet jobs counted in the registry.
+#[test]
+fn frontier_and_synthesis_certify_without_changing_answers() {
+    use std::sync::Arc;
+
+    let input = five_bus_case_study();
+    let metrics = Arc::new(MetricsRegistry::new());
+    let ctx = QueryContext {
+        obs: Obs::none().with_metrics(metrics.clone()),
+        ..certifying()
+    };
+    for property in [Property::Observability, Property::SecuredObservability] {
+        let plain = par_resiliency_frontier(&input, property, 1, 2, &QueryContext::default());
+        let certified = par_resiliency_frontier(&input, property, 1, 2, &ctx);
+        assert_eq!(certified, plain, "{property} frontier");
+    }
+    assert!(
+        metrics.counter("fleet_jobs") > 0,
+        "frontier rows are counted"
+    );
+
+    let synthesize = |obs: &Obs, certify: &CertifyOptions| {
+        synthesize_upgrades(
+            &input,
+            Property::SecuredObservability,
+            ResiliencySpec::split(1, 1),
+            &SynthesisOptions::default(),
+            obs,
+            certify,
+        )
+    };
+    let plain = synthesize(&Obs::none(), &CertifyOptions::default());
+    assert_eq!(synthesize(&ctx.obs, &ctx.certify), plain);
+
+    let log = &ctx.certify.log;
+    assert!(log.checks() > 0);
+    assert_eq!(log.failures(), 0, "{:?}", log.first_failure());
 }
 
 #[test]

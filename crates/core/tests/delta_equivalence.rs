@@ -14,8 +14,8 @@
 
 use proptest::prelude::*;
 use scada_analyzer::{
-    enumerate_threats_with_limited, AnalysisInput, Analyzer, BudgetAxis, CertifyOptions,
-    ModelPatch, Obs, Property, QueryLimits, ResiliencySpec, ThreatSpace,
+    enumerate_threats_with, AnalysisInput, Analyzer, BudgetAxis, CertifyOptions, ModelPatch, Obs,
+    Property, QueryLimits, ResiliencySpec, ThreatSpace,
 };
 use scadasim::{
     generate, CryptoAlgorithm, CryptoProfile, DeviceId, DeviceKind, ScadaConfig, ScadaGenConfig,
@@ -175,14 +175,14 @@ proptest! {
         }
         // Enumeration last: its blocking clauses poison later queries on
         // the same analyzer (both analyzers retire together here).
-        let w = enumerate_threats_with_limited(
+        let w = enumerate_threats_with(
             &mut warm,
             Property::Observability,
             ResiliencySpec::split(1, 1),
             64,
             &QueryLimits::none(),
         );
-        let c = enumerate_threats_with_limited(
+        let c = enumerate_threats_with(
             &mut cold,
             Property::Observability,
             ResiliencySpec::split(1, 1),

@@ -8,7 +8,8 @@ use powergrid::{BusId, MeasurementId, MeasurementKind, MeasurementSet};
 use scada_analyzer::casestudy::five_bus_case_study;
 use scada_analyzer::encode::ModelEncoder;
 use scada_analyzer::{
-    enumerate_threats, AnalysisInput, Analyzer, BudgetAxis, Property, ResiliencySpec,
+    enumerate_threats, AnalysisInput, Analyzer, BudgetAxis, Property, QueryContext, QueryLimits,
+    ResiliencySpec,
 };
 use scadasim::{Device, DeviceId, DeviceKind, Link, Topology};
 
@@ -96,6 +97,7 @@ fn enumeration_on_crafted_topology_is_exact() {
         Property::Observability,
         ResiliencySpec::split(1, 1),
         64,
+        &QueryContext::default(),
     );
     assert!(!space.truncated);
     let rendered: HashSet<String> = space.vectors.iter().map(|v| v.to_string()).collect();
@@ -110,7 +112,7 @@ fn enumeration_on_crafted_topology_is_exact() {
 fn frontier_is_monotone_and_consistent() {
     let input = five_bus_case_study();
     let mut analyzer = Analyzer::new(&input);
-    let frontier = analyzer.resiliency_frontier(Property::Observability, 1);
+    let frontier = analyzer.resiliency_frontier(Property::Observability, 1, &QueryLimits::none());
     assert!(!frontier.is_empty());
     // k2 bounds weakly decrease as k1 grows.
     for w in frontier.windows(2) {

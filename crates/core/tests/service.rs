@@ -8,7 +8,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use proptest::prelude::*;
-use scada_analyzer::service::{Engine, ServeOptions};
+use scada_analyzer::service::{serve_tcp, Engine, ServeOptions};
 use scada_analyzer::{model_hash, AnalysisInput};
 use scadasim::{generate, parse_config, write_config, ScadaConfig, ScadaGenConfig};
 
@@ -609,13 +609,19 @@ fn tcp_patch_pipelined_before_shutdown_always_completes() {
     assert!(status.success(), "scadad exited {status:?}");
 }
 
-/// The oversized-line resync regression at the binary level: junk past
-/// `--max-line` and a valid request in one TCP segment must yield the
-/// oversize error and then the valid reply on the legacy
-/// thread-per-connection transport too.
+/// The oversized-line resync regression on the thread-per-connection
+/// transport (`serve_tcp`, the TCP transport on non-unix platforms),
+/// driven in process: junk past `max_line` and a valid request in one
+/// TCP segment must yield the oversize error and then the valid reply.
 #[test]
-fn tcp_thread_per_conn_resyncs_after_oversized_write() {
-    let (mut child, addr) = scadad_tcp(&["--thread-per-conn", "--max-line", "256"]);
+fn serve_tcp_resyncs_after_oversized_write() {
+    let engine = std::sync::Arc::new(Engine::new(ServeOptions {
+        max_line: 256,
+        ..ServeOptions::default()
+    }));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let server = std::thread::spawn(move || serve_tcp(engine, listener));
 
     let mut client = TcpClient::connect(&addr);
     let mut payload = vec![b'x'; 4096];
@@ -637,6 +643,26 @@ fn tcp_thread_per_conn_resyncs_after_oversized_write() {
 
     let ack = client.request("{\"op\":\"shutdown\"}");
     assert!(ack.contains("\"draining\":true"), "{ack}");
-    let status = child.wait().expect("wait scadad");
-    assert!(status.success(), "scadad exited {status:?}");
+    let served = server.join().expect("serve_tcp thread");
+    assert!(served.is_ok(), "serve_tcp exited {served:?}");
+}
+
+/// Malformed numeric flags are usage errors: exit 2 with `error:` on
+/// stderr, never a silent fallback to the default.
+#[test]
+fn scadad_exits_2_on_malformed_numeric_option() {
+    for args in [
+        &["--shards", "x"][..],
+        &["--sessions", "many"][..],
+        &["--cache"][..],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_scadad"))
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("spawn scadad");
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("error:"), "args {args:?}: {stderr}");
+    }
 }

@@ -10,7 +10,7 @@ use std::ops::Not;
 
 /// A propositional variable.
 ///
-/// Variables are created by [`crate::Solver::new_var`] and are valid only
+/// Variables are created by [`crate::CnfSink::new_var`] (on a [`crate::Solver`]) and are valid only
 /// for the solver that created them.
 ///
 /// # Examples

@@ -382,7 +382,7 @@ impl Solver {
     /// Limits each subsequent solve call to finish (with a verdict or
     /// [`SolveResult::Unknown`]) by `deadline`; `None` removes the limit.
     ///
-    /// The clock is read every [`DEADLINE_CHECK_INTERVAL`]-th limit check,
+    /// The clock is read every `DEADLINE_CHECK_INTERVAL`-th limit check,
     /// so overshoot is bounded by a few dozen decisions.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;

@@ -14,7 +14,9 @@
 //! failure.
 
 use scada_analysis::analyzer::casestudy::{five_bus_case_study, five_bus_fig4};
-use scada_analysis::analyzer::{enumerate_threats, Analyzer, Property, ResiliencySpec, Verdict};
+use scada_analysis::analyzer::{
+    enumerate_threats, Analyzer, Property, QueryContext, ResiliencySpec, Verdict,
+};
 use scada_analysis::scada::SecurityPolicy;
 
 fn main() {
@@ -56,6 +58,7 @@ fn main() {
         Property::SecuredObservability,
         ResiliencySpec::split(1, 1),
         32,
+        &QueryContext::default(),
     );
     println!("\nall minimal (1,1) secured-observability threat vectors:");
     for v in &space.vectors {
@@ -70,6 +73,7 @@ fn main() {
         Property::SecuredObservability,
         ResiliencySpec::split(0, 1),
         32,
+        &QueryContext::default(),
     );
     println!(
         "\nFig-4 variant (RTU9 → RTU12): single-RTU secured threat vectors: {:?}",

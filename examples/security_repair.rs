@@ -10,7 +10,7 @@ use scada_analysis::analyzer::casestudy::five_bus_case_study;
 use scada_analysis::analyzer::synthesis::{
     apply_upgrades, synthesize_upgrades, upgradable_hops, SynthesisOptions, SynthesisResult,
 };
-use scada_analysis::analyzer::{Analyzer, Property, ResiliencySpec, Verdict};
+use scada_analysis::analyzer::{Analyzer, CertifyOptions, Obs, Property, ResiliencySpec, Verdict};
 
 fn main() {
     let input = five_bus_case_study();
@@ -31,7 +31,14 @@ fn main() {
     }
 
     println!("\nsynthesizing a minimal upgrade set…");
-    match synthesize_upgrades(&input, property, spec, &SynthesisOptions::default()) {
+    match synthesize_upgrades(
+        &input,
+        property,
+        spec,
+        &SynthesisOptions::default(),
+        &Obs::none(),
+        &CertifyOptions::default(),
+    ) {
         SynthesisResult::Upgrades(upgrades) => {
             for (a, b) in &upgrades {
                 println!(

@@ -9,7 +9,9 @@
 //! observability at a (2,1) specification — the analysis behind the
 //! paper's Fig 7(b) threat-space study.
 
-use scada_analysis::analyzer::{enumerate_threats, AnalysisInput, Property, ResiliencySpec};
+use scada_analysis::analyzer::{
+    enumerate_threats, AnalysisInput, Property, QueryContext, ResiliencySpec,
+};
 use scada_analysis::power::ieee::ieee14;
 use scada_analysis::power::synthetic::ieee_sized;
 use scada_analysis::scada::{generate, ScadaGenConfig};
@@ -46,7 +48,7 @@ fn main() {
 
     let spec = ResiliencySpec::split(2, 1);
     for property in [Property::Observability, Property::SecuredObservability] {
-        let space = enumerate_threats(&input, property, spec, 500);
+        let space = enumerate_threats(&input, property, spec, 500, &QueryContext::default());
         println!(
             "\n{property} at {spec}: {} minimal threat vector(s){}",
             space.len(),

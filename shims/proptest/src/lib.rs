@@ -343,7 +343,7 @@ pub mod collection {
 
     use super::*;
 
-    /// A length constraint for [`vec`].
+    /// A length constraint for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
@@ -375,7 +375,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,
