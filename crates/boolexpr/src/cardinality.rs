@@ -15,7 +15,9 @@
 //!   threshold atoms `Σ ≥ j`; this reification is what lets thresholds
 //!   appear inside disjunctions (the unobservability constraint) and be
 //!   queried incrementally under assumptions (the maximum-resiliency
-//!   search).
+//!   search). [`UnaryCounter::build_capped`] is its k-simplified form:
+//!   only the first `cap` outputs, in `O(n·cap)` clauses, each still an
+//!   equivalence.
 
 use satcore::{CnfSink, Lit};
 
@@ -230,12 +232,14 @@ fn commander_amo<S: CnfSink>(sink: &mut S, lits: &[Lit]) {
     commander_amo(sink, &commanders);
 }
 
-/// A full unary counter over a set of literals (totalizer encoding).
+/// A unary counter over a set of literals (totalizer encoding).
 ///
 /// After construction, `outputs()[j]` is a literal **equivalent** to
 /// `Σ lits ≥ j+1`: both implication directions are emitted, so threshold
 /// atoms can be embedded in arbitrary formulas or assumed positively and
-/// negatively.
+/// negatively. A counter built by [`UnaryCounter::build_capped`] keeps
+/// only the outputs below its cap; [`UnaryCounter::covers`] says which
+/// bounds it can answer.
 ///
 /// # Examples
 ///
@@ -257,36 +261,56 @@ fn commander_amo<S: CnfSink>(sink: &mut S, lits: &[Lit]) {
 #[derive(Debug, Clone)]
 pub struct UnaryCounter {
     outputs: Vec<Lit>,
+    inputs: usize,
 }
 
 impl UnaryCounter {
-    /// Builds the counter, emitting totalizer clauses into the sink.
+    /// Builds the full counter, emitting totalizer clauses into the sink.
     pub fn build<S: CnfSink>(sink: &mut S, lits: &[Lit]) -> UnaryCounter {
-        let outputs = Self::tree(sink, lits);
-        UnaryCounter { outputs }
+        UnaryCounter::build_capped(sink, lits, lits.len())
     }
 
-    fn tree<S: CnfSink>(sink: &mut S, lits: &[Lit]) -> Vec<Lit> {
+    /// Builds a k-simplified totalizer that keeps only the first `cap`
+    /// outputs: every merge node keeps `min(p+q, cap)` of them.
+    ///
+    /// Each kept output is still a full biconditional
+    /// `outputs()[j] ⟺ Σ ≥ j+1`. A child's output `cap-1` only has to
+    /// mean "at least `cap`", which it does in both directions, and no
+    /// clause ever needs a child output past the cap, because each
+    /// clause's index sum `i+j` stays below the parent's own output
+    /// count. Reading a bound past the cap is refused: see
+    /// [`UnaryCounter::covers`].
+    pub fn build_capped<S: CnfSink>(sink: &mut S, lits: &[Lit], cap: usize) -> UnaryCounter {
+        UnaryCounter {
+            outputs: Self::tree(sink, lits, cap),
+            inputs: lits.len(),
+        }
+    }
+
+    fn tree<S: CnfSink>(sink: &mut S, lits: &[Lit], cap: usize) -> Vec<Lit> {
         match lits.len() {
             0 => Vec::new(),
-            1 => vec![lits[0]],
+            1 => lits[..cap.min(1)].to_vec(),
             n => {
                 let (left, right) = lits.split_at(n / 2);
-                let a = Self::tree(sink, left);
-                let b = Self::tree(sink, right);
-                Self::merge(sink, &a, &b)
+                let a = Self::tree(sink, left, cap);
+                let b = Self::tree(sink, right, cap);
+                Self::merge(sink, &a, &b, cap)
             }
         }
     }
 
     /// Merges two sorted unary vectors. `a[i]` ⟺ left sum ≥ i+1, same for
-    /// `b`; produces `r` with the same property for the union.
-    fn merge<S: CnfSink>(sink: &mut S, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
+    /// `b`; produces `r` with the same property for the union, cut to
+    /// `cap` outputs. A child shorter than its input count is itself
+    /// capped; `i+j < r.len() ≤ cap` keeps every index read in range.
+    fn merge<S: CnfSink>(sink: &mut S, a: &[Lit], b: &[Lit], cap: usize) -> Vec<Lit> {
         let p = a.len();
         let q = b.len();
-        let r: Vec<Lit> = (0..p + q).map(|_| sink.new_var().positive()).collect();
-        for i in 0..=p {
-            for j in 0..=q {
+        let m = (p + q).min(cap);
+        let r: Vec<Lit> = (0..m).map(|_| sink.new_var().positive()).collect();
+        for i in 0..=p.min(m) {
+            for j in 0..=q.min(m - i) {
                 // Lower bound: a ≥ i ∧ b ≥ j → r ≥ i+j.
                 if i + j >= 1 {
                     let mut clause = Vec::with_capacity(3);
@@ -300,7 +324,7 @@ impl UnaryCounter {
                     sink.add_clause(&clause);
                 }
                 // Upper bound: a < i+1 ∧ b < j+1 → r < i+j+1.
-                if i + j < p + q {
+                if i + j < m {
                     let mut clause = Vec::with_capacity(3);
                     if i < p {
                         clause.push(a[i]);
@@ -323,17 +347,35 @@ impl UnaryCounter {
 
     /// Number of input literals.
     pub fn len(&self) -> usize {
-        self.outputs.len()
+        self.inputs
     }
 
     /// Whether the counter counts zero literals.
     pub fn is_empty(&self) -> bool {
-        self.outputs.is_empty()
+        self.inputs == 0
+    }
+
+    /// Whether [`UnaryCounter::geq_lit`] can answer `Σ ≥ j`: `j` is at
+    /// most the cap, or the counter is full (then `j > n` is trivially
+    /// false).
+    pub fn covers(&self, j: usize) -> bool {
+        j <= self.outputs.len() || self.outputs.len() == self.inputs
     }
 
     /// Literal equivalent to `Σ ≥ j`. Returns `None` for the trivial
     /// bounds (`j == 0` is always true; `j > n` is always false).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the counter is capped below `j` (`!self.covers(j)`):
+    /// such a bound is neither trivial nor encoded.
     pub fn geq_lit(&self, j: usize) -> Option<Lit> {
+        assert!(
+            self.covers(j),
+            "Σ ≥ {j} is past this counter's cap of {} outputs over {} inputs",
+            self.outputs.len(),
+            self.inputs
+        );
         if j == 0 || j > self.outputs.len() {
             None
         } else {
@@ -342,8 +384,12 @@ impl UnaryCounter {
     }
 
     /// Literal equivalent to `Σ ≤ j` (the negation of `Σ ≥ j+1`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `Σ ≥ j+1` is past the cap, as [`UnaryCounter::geq_lit`].
     pub fn leq_lit(&self, j: usize) -> Option<Lit> {
-        self.geq_lit(j + 1).map(|l| !l)
+        self.geq_lit(j.saturating_add(1)).map(|l| !l)
     }
 
     /// Asserts `Σ ≤ k` as unit clauses on the outputs.
@@ -484,6 +530,56 @@ mod tests {
         }
     }
 
+    /// The pindakaas `Checker` idiom applied to the k-simplified
+    /// totalizer: for every input assignment, every output below the
+    /// cap is forced to `Σ ≥ j+1` in both polarities.
+    #[test]
+    fn capped_counter_outputs_are_equivalences() {
+        for n in 1..=8 {
+            for cap in 1..=n {
+                let mut s = Solver::new();
+                let xs = fresh(&mut s, n);
+                let counter = UnaryCounter::build_capped(&mut s, &xs, cap);
+                assert_eq!(counter.outputs().len(), cap);
+                for bits in 0..(1u32 << n) {
+                    let base: Vec<Lit> = (0..n)
+                        .map(|i| if (bits >> i) & 1 == 1 { xs[i] } else { !xs[i] })
+                        .collect();
+                    let pop = bits.count_ones() as usize;
+                    for (j, &o) in counter.outputs().iter().enumerate() {
+                        for polarity in [o, !o] {
+                            let mut assumptions = base.clone();
+                            assumptions.push(polarity);
+                            let sat = s.solve_with_assumptions(&assumptions) == SolveResult::Sat;
+                            assert_eq!(
+                                sat,
+                                (polarity == o) == (pop > j),
+                                "n={n} cap={cap} bits={bits:b} output {j} polarity {polarity:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn capped_counter_uses_fewer_clauses() {
+        use satcore::Cnf;
+        let mut full = Cnf::new();
+        let xs: Vec<Lit> = (0..64).map(|_| full.new_var().positive()).collect();
+        UnaryCounter::build(&mut full, &xs);
+        let mut capped = Cnf::new();
+        let xs: Vec<Lit> = (0..64).map(|_| capped.new_var().positive()).collect();
+        UnaryCounter::build_capped(&mut capped, &xs, 8);
+        assert!(
+            capped.clauses.len() * 3 < full.clauses.len(),
+            "capped {} vs full {}",
+            capped.clauses.len(),
+            full.clauses.len()
+        );
+    }
+
     #[test]
     fn unary_counter_trivial_bounds() {
         let mut s = Solver::new();
@@ -492,8 +588,36 @@ mod tests {
         assert!(counter.geq_lit(0).is_none());
         assert!(counter.geq_lit(4).is_none());
         assert!(counter.leq_lit(3).is_none());
+        assert!(counter.covers(usize::MAX));
         assert_eq!(counter.len(), 3);
         assert!(!counter.is_empty());
+
+        // A cap at or above n builds the full counter.
+        let wide = UnaryCounter::build_capped(&mut s, &xs, 8);
+        assert_eq!(wide.outputs().len(), 3);
+        assert!(wide.geq_lit(4).is_none());
+
+        // A capped counter still counts all its inputs, but answers
+        // only the bounds up to its cap.
+        let xs = fresh(&mut s, 10);
+        let capped = UnaryCounter::build_capped(&mut s, &xs, 4);
+        assert_eq!(capped.len(), 10);
+        assert_eq!(capped.outputs().len(), 4);
+        assert!(capped.covers(4) && !capped.covers(5));
+        assert!(capped.geq_lit(4).is_some());
+        assert!(capped.leq_lit(3).is_some());
+    }
+
+    /// A bound past the cap is neither trivial nor encoded: reading it
+    /// must fail loudly rather than come back `None` ("trivially
+    /// true/false").
+    #[test]
+    #[should_panic(expected = "past this counter's cap")]
+    fn capped_counter_refuses_bounds_past_its_cap() {
+        let mut s = Solver::new();
+        let xs = fresh(&mut s, 10);
+        let capped = UnaryCounter::build_capped(&mut s, &xs, 4);
+        capped.leq_lit(4);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use boolexpr::{assert_at_most, CardEncoding, Encoder, ExprPool, NodeRef};
+use boolexpr::{assert_at_most, CardEncoding, Encoder, ExprPool, NodeRef, UnaryCounter};
 use satcore::{CnfSink, Lit, SolveResult, Solver, Var};
 
 /// A recipe for building a random expression over `n` base literals.
@@ -163,6 +163,45 @@ proptest! {
             let expected = (bits.count_ones() as usize) <= k;
             let got = solver.solve_with_assumptions(&assumptions) == SolveResult::Sat;
             prop_assert_eq!(got, expected, "enc={:?} n={} k={} bits={:b}", enc, n, k, bits);
+        }
+    }
+
+    /// The k-simplified totalizer at scale: under a random full input
+    /// assignment, every output below a random cap is forced to
+    /// `Σ ≥ j+1`, and the opposite polarity of the outputs around the
+    /// true count (and of one random output) is refuted.
+    #[test]
+    fn capped_counter_matches_popcount_at_scale(
+        n in 1usize..=200,
+        cap_raw in 1usize..=200,
+        probe in 0usize..200,
+        assignment in proptest::collection::vec(any::<bool>(), 200),
+    ) {
+        let cap = 1 + (cap_raw - 1) % n;
+        let mut solver = Solver::new();
+        let xs: Vec<Lit> = (0..n).map(|_| solver.new_var().positive()).collect();
+        let counter = UnaryCounter::build_capped(&mut solver, &xs, cap);
+        prop_assert_eq!(counter.len(), n);
+        prop_assert_eq!(counter.outputs().len(), cap);
+        let base: Vec<Lit> = (0..n)
+            .map(|i| if assignment[i] { xs[i] } else { !xs[i] })
+            .collect();
+        let pop = assignment[..n].iter().filter(|&&b| b).count();
+        prop_assert_eq!(solver.solve_with_assumptions(&base), SolveResult::Sat);
+        for (j, o) in counter.outputs().iter().enumerate() {
+            let value = solver.value_of(o.var()).map(|v| v != o.is_negative());
+            prop_assert_eq!(value, Some(pop > j), "n={} cap={} pop={} output {}", n, cap, pop, j);
+        }
+        for j in [pop.wrapping_sub(1), pop, probe % cap] {
+            if let Some(&o) = counter.outputs().get(j) {
+                let mut assumptions = base.clone();
+                assumptions.push(if pop > j { !o } else { o });
+                prop_assert_eq!(
+                    solver.solve_with_assumptions(&assumptions),
+                    SolveResult::Unsat,
+                    "n={} cap={} pop={} output {} takes the wrong polarity", n, cap, pop, j
+                );
+            }
         }
     }
 }

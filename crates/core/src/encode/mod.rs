@@ -20,7 +20,7 @@ mod resilience;
 
 use std::collections::HashMap;
 
-use boolexpr::{Encoder, ExprPool, NodeRef, UnaryCounter};
+use boolexpr::{Encoder, ExprPool, NodeRef};
 use satcore::{Lit, ProofBuffer, SolveResult, Solver};
 use scadasim::{DeviceId, DeviceKind};
 
@@ -29,7 +29,7 @@ use crate::spec::{Property, ResiliencySpec};
 
 use baddata::BadDataEncoding;
 use observability::ObservabilityLits;
-use resilience::FailureCounters;
+use resilience::{FailureCounters, GrowingCounter};
 
 /// Whether a device's availability literal is pinned true: the device
 /// sits outside the failure model (MTU, non-failing router) or has been
@@ -155,7 +155,7 @@ pub struct ModelEncoder {
     counters: FailureCounters,
     /// Counter over link failures, built on the first query that grants
     /// a link budget.
-    link_counter: Option<UnaryCounter>,
+    link_counter: Option<GrowingCounter>,
     /// Per-device delivery expressions (built with the plain chain).
     plain: Option<ObservabilityLits>,
     secured: Option<ObservabilityLits>,
@@ -281,7 +281,10 @@ impl ModelEncoder {
     /// * **Failure counters** are rebuilt only when the budget
     ///   population changes (a device was added); retirement keeps the
     ///   population and pins the retired device's contribution to zero,
-    ///   exactly as a cold build of the patched model would.
+    ///   exactly as a cold build of the patched model would. A rebuild
+    ///   keeps the largest cap a counter has grown to, and the old
+    ///   counter's clauses, like a dirty chain's, stay behind as a
+    ///   conservative extension.
     pub fn apply_delta(&mut self, input: &AnalysisInput) -> DeltaStats {
         use satcore::CnfSink;
         let mut stats = DeltaStats::default();
@@ -307,8 +310,8 @@ impl ModelEncoder {
 
         // New links: fresh availability variables. A link counter built
         // over the old link set no longer covers the budget domain, so
-        // it is dropped and lazily rebuilt; rewired links keep their
-        // index and variable, so an existing counter stays valid.
+        // it is rebuilt over the new set; rewired links keep their index
+        // and variable, so an existing counter stays valid.
         let m = input.topology.links().len();
         assert!(m >= self.link_up.len(), "deltas never delete links");
         if m > self.link_up.len() {
@@ -316,13 +319,16 @@ impl ModelEncoder {
                 self.link_up.push(self.solver.new_var().positive());
                 stats.new_links += 1;
             }
-            self.link_counter = None;
+            if let Some(counter) = &mut self.link_counter {
+                counter.rebuild(&mut self.solver, self.link_up.iter().map(|&l| !l).collect());
+            }
         }
 
         // Budget population: rebuild the counters only if it moved.
         let (ieds, rtus) = budget_population(input);
         if ieds != self.counters.ieds || rtus != self.counters.rtus {
-            self.counters = FailureCounters::build(&mut self.solver, &self.node, ieds, rtus);
+            self.counters
+                .rebuild(&mut self.solver, &self.node, ieds, rtus);
             stats.counters_rebuilt = true;
         }
 
@@ -455,23 +461,21 @@ impl ModelEncoder {
     }
 
     /// Assumption literals imposing the failure budget (device budgets
-    /// plus, when granted, the link budget).
+    /// plus, when granted, the link budget). A budget past a counter's
+    /// cap grows that counter first.
     pub fn budget_assumptions(&mut self, spec: ResiliencySpec) -> Vec<Lit> {
-        let mut assumptions = self.counters.assumptions(spec.budget);
+        let mut assumptions = self.counters.assumptions(&mut self.solver, spec.budget);
         if spec.link_failures == 0 {
             // The paper's semantics: links do not fail. Assume each link
             // up individually — cheap, and keeps the encoding free of a
             // link counter until a query actually grants a link budget.
             assumptions.extend(self.link_up.iter().copied());
         } else {
-            if self.link_counter.is_none() {
-                let down: Vec<Lit> = self.link_up.iter().map(|&l| !l).collect();
-                self.link_counter = Some(UnaryCounter::build(&mut self.solver, &down));
-            }
-            let counter = self.link_counter.as_ref().expect("just built");
-            if let Some(l) = counter.leq_lit(spec.link_failures) {
-                assumptions.push(l);
-            }
+            let solver = &mut self.solver;
+            let counter = self.link_counter.get_or_insert_with(|| {
+                GrowingCounter::new(solver, self.link_up.iter().map(|&l| !l).collect())
+            });
+            assumptions.extend(counter.leq_lit(solver, spec.link_failures));
         }
         assumptions
     }

@@ -5,7 +5,7 @@
 //!
 //! * `DE_X ⟺ ∨_{Z : X ∈ StateSet_Z} D_Z` per state,
 //! * `DelUMsr_E ⟺ ∨_{Z ∈ UMsrSet_E} D_Z` per electrical component,
-//! * a unary counter over the `DelUMsr_E` literals,
+//! * a unary counter over the `DelUMsr_E` literals, capped at `n` outputs,
 //! * `Observable ⟺ (∧_X DE_X) ∧ (Σ_E DelUMsr_E ≥ n)`.
 //!
 //! The count threshold uses `n` (number of states), reading the paper's
@@ -60,7 +60,8 @@ pub(crate) fn encode_observability(
             enc.literal(pool, expr, solver)
         })
         .collect();
-    let counter = UnaryCounter::build(solver, &group_lits);
+    // Only `Σ ≥ n` is read, so the counter stops at n outputs.
+    let counter = UnaryCounter::build_capped(solver, &group_lits, n);
     let count_ok: NodeRef = match counter.geq_lit(n) {
         Some(l) => pool.lit(l),
         // Fewer groups than states: the count condition can never hold.

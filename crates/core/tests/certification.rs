@@ -392,3 +392,81 @@ fn ieee57_battery_replays_hinted_without_fallback() {
         "the battery replays real proof work ({steps} steps)"
     );
 }
+
+/// Failure counters start capped at 8 outputs and are rebuilt with the
+/// cap doubled when a budget reads past it; a device added by a patch
+/// rebuilds them again over the new population. Unsat verdicts after
+/// each rebuild refute assumptions on the *new* counter's outputs while
+/// the old counter's clauses stay in the solver, the mirror and the
+/// checker — they must replay from hints alone, without one fallback.
+#[test]
+fn counter_rebuilds_mid_session_replay_without_fallback() {
+    use powergrid::synthetic::ieee_sized;
+    use scada_analyzer::ModelPatch;
+    use scadasim::{generate, DeviceKind, ScadaGenConfig};
+    use std::sync::Arc;
+
+    let scada = generate(
+        ieee_sized(30, 0),
+        &ScadaGenConfig {
+            measurement_density: 1.0,
+            hierarchy_level: 1,
+            secure_fraction: 0.8,
+            seed: 3,
+            ..Default::default()
+        },
+    );
+    let input = AnalysisInput::new(scada.measurements, scada.topology, scada.ied_measurements);
+    let metrics = Arc::new(MetricsRegistry::new());
+    let certify = CertifyOptions::enabled();
+    let mut analyzer = Analyzer::with_options(
+        &input,
+        Obs::none().with_metrics(metrics.clone()),
+        certify.clone(),
+    );
+    let audit = |analyzer: &mut Analyzer, spec: ResiliencySpec, resilient: bool| {
+        let report = analyzer.verify_with_report(Property::Observability, spec);
+        match (&report.verdict, report.certificate.as_ref()) {
+            (Verdict::Resilient, Some(Certificate::Proof { .. })) if resilient => {}
+            (Verdict::Threat(_), Some(Certificate::Threat { .. })) if !resilient => {}
+            (verdict, certificate) => panic!("{spec}: {verdict:?} carried {certificate:?}"),
+        }
+        report.encoding.clauses
+    };
+    // This model survives any 3 field-device (or IED) failures, not 4.
+    let before = audit(&mut analyzer, ResiliencySpec::total(3), true);
+    let grown = audit(&mut analyzer, ResiliencySpec::total(9), false);
+    assert!(
+        grown > before,
+        "k=9 reads past the cap and regrows the counter"
+    );
+    audit(&mut analyzer, ResiliencySpec::total(3), true);
+    audit(&mut analyzer, ResiliencySpec::split(9, 0), false);
+    audit(&mut analyzer, ResiliencySpec::split(3, 0), true);
+
+    let rtu = input
+        .topology
+        .devices()
+        .iter()
+        .find(|d| d.kind() == DeviceKind::Rtu)
+        .expect("generated model has RTUs")
+        .id();
+    analyzer
+        .apply_patch(&ModelPatch::AddDevice {
+            kind: DeviceKind::Ied,
+            peers: vec![rtu],
+        })
+        .expect("patch applies");
+    audit(&mut analyzer, ResiliencySpec::total(3), true);
+    audit(&mut analyzer, ResiliencySpec::split(3, 0), true);
+
+    assert_eq!(
+        certify.log.failures(),
+        0,
+        "{:?}",
+        certify.log.first_failure()
+    );
+    assert_eq!(certify.log.checks(), 7);
+    assert_eq!(metrics.counter("cert_checks"), 7);
+    assert_eq!(metrics.counter("cert_hint_fallbacks"), 0);
+}

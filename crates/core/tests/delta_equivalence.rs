@@ -293,3 +293,85 @@ fn patch_boundary_flushes_proofs_between_certified_queries() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Failure counters start capped at 8 outputs and grow (cap doubled)
+/// when a budget reads past the cap. A device added afterwards moves
+/// the budget population and rebuilds them: the rebuild must keep the
+/// grown cap — a budget of 9 then reads no new clause — and the patched
+/// session must still answer like a cold build of the final model.
+#[test]
+fn device_added_after_counter_growth_keeps_the_grown_cap() {
+    for seed in [3, 11, 29] {
+        let mut current = base_input(seed);
+        let ieds = current.topology.ieds().count();
+        let rtus = current.topology.rtus().count();
+        assert!(
+            ieds > 8 && ieds + rtus > 8,
+            "seed {seed}: population too small to grow"
+        );
+        let mut warm = Analyzer::owning(current.clone(), Obs::none(), CertifyOptions::default());
+        let spec9 = ResiliencySpec::total(9).with_corrupted(1);
+        let ieds9 = ResiliencySpec::split(9, 0).with_corrupted(1);
+        let before = warm
+            .verify_with_report(Property::Observability, ResiliencySpec::total(1))
+            .encoding;
+        warm.verify(Property::Observability, spec9);
+        let grown = warm
+            .verify_with_report(Property::Observability, ieds9)
+            .encoding;
+        assert!(grown.clauses > before.clauses, "seed {seed}: k=9 regrows");
+
+        let rtu = current.topology.rtus().next().expect("an RTU").id();
+        let patch = ModelPatch::AddDevice {
+            kind: DeviceKind::Ied,
+            peers: vec![rtu],
+        };
+        current = patch.apply(&current).expect("patch applies");
+        let stats = warm.apply_patch(&patch).expect("patch applies warm");
+        assert!(
+            stats.counters_rebuilt,
+            "seed {seed}: a new IED moves the population"
+        );
+
+        let rebuilt = warm
+            .verify_with_report(Property::Observability, ResiliencySpec::total(0))
+            .encoding;
+        for spec in [spec9, ieds9] {
+            let at_nine = warm
+                .verify_with_report(Property::Observability, spec)
+                .encoding;
+            assert_eq!(
+                at_nine.clauses, rebuilt.clauses,
+                "seed {seed}: {spec} re-grew a counter the rebuild should have kept grown"
+            );
+        }
+
+        let mut cold = Analyzer::owning(current.clone(), Obs::none(), CertifyOptions::default());
+        for property in PROPERTIES {
+            for k in [0, 1, 2, 3, 8, 9, 10] {
+                for spec in [
+                    ResiliencySpec::total(k).with_corrupted(1),
+                    ResiliencySpec::split(k, 1).with_corrupted(1),
+                    ResiliencySpec::split(1, k).with_corrupted(1),
+                ] {
+                    assert_eq!(
+                        warm.verify(property, spec).is_resilient(),
+                        cold.verify(property, spec).is_resilient(),
+                        "seed {seed}: verify({property}, {spec}) diverged after regrowth"
+                    );
+                }
+            }
+            for axis in [
+                BudgetAxis::Total,
+                BudgetAxis::IedsOnly,
+                BudgetAxis::RtusOnly,
+            ] {
+                assert_eq!(
+                    warm.max_resiliency(property, axis, 1),
+                    cold.max_resiliency(property, axis, 1),
+                    "seed {seed}: maxres({property}, {axis:?}) diverged after regrowth"
+                );
+            }
+        }
+    }
+}
