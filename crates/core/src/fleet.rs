@@ -23,11 +23,13 @@
 //!    entry, which `set_profile` cannot un-declare);
 //! 3. [`run_batch`] executes the plan through any service engine via a
 //!    request-line `submit` closure — the same executor backs
-//!    `scada-analyzer --batch` (in-process engine, `--jobs`-parallel
-//!    over clusters) and the `scadad` `batch` op (single, sharded, and
-//!    journaled engines) — emitting one consolidated report of
-//!    per-config verdict, max resiliency, security-index floor and
-//!    histogram, certificate status, provenance, and timing.
+//!    `scada-analyzer --batch` (in-process engine) and the `scadad`
+//!    `batch` op (single, sharded, and journaled engines). Its `jobs`
+//!    workers import and hash configs, then run clusters ([`par_map`]
+//!    both times; [`scan_fleet`] is the 1-worker scan). It emits one
+//!    consolidated report of per-config verdict, max resiliency,
+//!    security-index floor and histogram, certificate status,
+//!    provenance, and timing.
 //!
 //! Report rows are sorted by config name and deterministic apart from
 //! the `elapsed_us` timing fields, so two engines auditing the same
@@ -35,14 +37,15 @@
 //! in `tests/fleet.rs`).
 
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use scadasim::{write_config, CryptoProfile, DeviceId};
 
 use crate::ingest::{import_dir, ImportedConfig, IngestError};
-use crate::obs::json_escape_into;
-use crate::service::{model_hash, parse_json, Json, ModelHash};
+use crate::obs::{json_escape_into, Obs};
+use crate::parallel::par_map;
+use crate::service::{model_hash, parse_json, security_normalized_hash, Json, ModelHash};
 use crate::{AnalysisInput, ModelPatch};
 
 /// One successfully imported fleet member.
@@ -54,8 +57,22 @@ pub struct FleetMember {
     pub input: AnalysisInput,
     /// Canonical content hash of the input.
     pub hash: ModelHash,
-    /// Similarity cluster key (see [`cluster_key`]).
+    /// Similarity cluster key (see [`ClusterKey`]).
     pub cluster: ClusterKey,
+}
+
+impl FleetMember {
+    /// Lowers an imported config and computes its content hash and
+    /// cluster key.
+    pub fn new(config: ImportedConfig) -> FleetMember {
+        let input = config.input();
+        FleetMember {
+            hash: model_hash(&input),
+            cluster: cluster_key(&input),
+            config,
+            input,
+        }
+    }
 }
 
 /// A similarity cluster key: the security-normalized model hash plus a
@@ -71,25 +88,6 @@ pub struct FleetScan {
     pub members: Vec<FleetMember>,
     /// Malformed configs as `(name, error)`, sorted by config name.
     pub errors: Vec<(String, String)>,
-}
-
-/// The security-normalized hash: the canonical [`model_hash`] of the
-/// member with its explicit pair-security table stripped.
-fn normalized_hash(config: &ImportedConfig) -> ModelHash {
-    let scada = &config.scada;
-    let topology = scadasim::Topology::new(
-        scada.topology.devices().to_vec(),
-        scada.topology.links().to_vec(),
-    );
-    let stripped = scadasim::ScadaConfig {
-        measurements: scada.measurements.clone(),
-        topology,
-        ied_measurements: scada.ied_measurements.clone(),
-        resilience: scada.resilience,
-        corrupted: scada.corrupted,
-        link_failures: scada.link_failures,
-    };
-    model_hash(&AnalysisInput::from(stripped))
 }
 
 /// A cheap per-IED path-set fingerprint: FNV-1a over every IED's hop
@@ -135,9 +133,10 @@ fn path_fingerprint(input: &AnalysisInput) -> u64 {
     h
 }
 
-/// The similarity cluster key of an imported config.
-pub fn cluster_key(config: &ImportedConfig, input: &AnalysisInput) -> ClusterKey {
-    (normalized_hash(config), path_fingerprint(input))
+/// The similarity cluster key of a lowered config: its
+/// [`security_normalized_hash`] and its per-IED path-set fingerprint.
+fn cluster_key(input: &AnalysisInput) -> ClusterKey {
+    (security_normalized_hash(input), path_fingerprint(input))
 }
 
 /// Imports every config directory directly under `dir`. Non-directory
@@ -148,6 +147,13 @@ pub fn cluster_key(config: &ImportedConfig, input: &AnalysisInput) -> ClusterKey
 ///
 /// Only an unreadable fleet root fails the whole scan.
 pub fn scan_fleet(dir: &Path) -> Result<FleetScan, IngestError> {
+    scan(dir, 1)
+}
+
+/// [`scan_fleet`] with the per-config import, lowering, and hashing
+/// spread over `jobs` workers ([`par_map`]). Members and errors keep
+/// name order whatever `jobs` is.
+fn scan(dir: &Path, jobs: usize) -> Result<FleetScan, IngestError> {
     let root_err = |e: std::io::Error| IngestError {
         file: dir.display().to_string(),
         line: 0,
@@ -159,26 +165,29 @@ pub fn scan_fleet(dir: &Path) -> Result<FleetScan, IngestError> {
         .collect::<Result<_, _>>()
         .map_err(root_err)?;
     entries.sort_by_key(|e| e.file_name());
+    let configs: Vec<(String, PathBuf)> = entries
+        .into_iter()
+        .map(|entry| {
+            (
+                entry.file_name().to_string_lossy().into_owned(),
+                entry.path(),
+            )
+        })
+        .filter(|(name, path)| {
+            !name.starts_with('.') && !name.starts_with("README") && path.is_dir()
+        })
+        .collect();
+    let imported = par_map(&configs, jobs, &Obs::none(), |_, (name, path), _| {
+        import_dir(path)
+            .map(FleetMember::new)
+            .map_err(|e| (name.clone(), e.to_string()))
+    });
     let mut members = Vec::new();
     let mut errors = Vec::new();
-    for entry in entries {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.starts_with('.') || name.starts_with("README") || !entry.path().is_dir() {
-            continue;
-        }
-        match import_dir(&entry.path()) {
-            Ok(config) => {
-                let input = config.input();
-                let hash = model_hash(&input);
-                let cluster = cluster_key(&config, &input);
-                members.push(FleetMember {
-                    config,
-                    input,
-                    hash,
-                    cluster,
-                });
-            }
-            Err(e) => errors.push((name, e.to_string())),
+    for result in imported {
+        match result {
+            Ok(member) => members.push(member),
+            Err(error) => errors.push(error),
         }
     }
     Ok(FleetScan { members, errors })
@@ -864,33 +873,12 @@ pub fn run_plan(
     submit: &(dyn Fn(&str) -> String + Sync),
 ) -> BatchOutcome {
     let members = &plan.scan.members;
-    let jobs = crate::pool::effective_jobs(jobs)
-        .max(1)
-        .min(plan.clusters.len().max(1));
-    let mut rows: Vec<ReportRow> = if jobs <= 1 || plan.clusters.len() <= 1 {
-        plan.clusters
-            .iter()
-            .flat_map(|steps| run_cluster(submit, members, steps))
-            .collect()
-    } else {
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(jobs);
-            for worker in 0..jobs {
-                let clusters = &plan.clusters;
-                handles.push(scope.spawn(move || {
-                    let mut rows = Vec::new();
-                    for steps in clusters.iter().skip(worker).step_by(jobs) {
-                        rows.extend(run_cluster(submit, members, steps));
-                    }
-                    rows
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("batch worker panicked"))
-                .collect()
-        })
-    };
+    let mut rows: Vec<ReportRow> = par_map(&plan.clusters, jobs, &Obs::none(), |_, steps, _| {
+        run_cluster(submit, members, steps)
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     for (name, error) in &plan.scan.errors {
         rows.push(ReportRow::error_row(name, error.clone(), 0));
     }
@@ -900,7 +888,9 @@ pub fn run_plan(
 
 /// Scans, plans, and executes a whole fleet directory: the one-call
 /// entry point shared by `scada-analyzer --batch` and the service
-/// `batch` op.
+/// `batch` op. The scan and the run use `jobs` workers (`0` = all
+/// available parallelism, never more than there is work for); planning
+/// is serial. The report does not depend on `jobs`.
 ///
 /// # Errors
 ///
@@ -911,7 +901,7 @@ pub fn run_batch(
     jobs: usize,
     submit: &(dyn Fn(&str) -> String + Sync),
 ) -> Result<BatchOutcome, IngestError> {
-    let plan = plan_fleet(scan_fleet(dir)?);
+    let plan = plan_fleet(scan(dir, jobs)?);
     Ok(run_plan(&plan, jobs, submit))
 }
 
@@ -920,18 +910,6 @@ mod tests {
     use super::*;
     use crate::ingest::from_scada;
     use scadasim::{generate, ScadaGenConfig};
-
-    fn member_of(config: ImportedConfig) -> FleetMember {
-        let input = config.input();
-        let hash = model_hash(&input);
-        let cluster = cluster_key(&config, &input);
-        FleetMember {
-            config,
-            input,
-            hash,
-            cluster,
-        }
-    }
 
     fn ieee14_member(secure_fraction: f64, name: &str) -> FleetMember {
         let system = powergrid::synthetic::ieee_sized(14, 0);
@@ -953,7 +931,7 @@ mod tests {
             corrupted: 1,
             link_failures: 0,
         };
-        member_of(from_scada(name, &scada, "secured").unwrap())
+        FleetMember::new(from_scada(name, &scada, "secured").unwrap())
     }
 
     #[test]
@@ -974,7 +952,7 @@ mod tests {
             .scada
             .topology
             .set_pair_security(a, b, vec!["aes 256".parse().unwrap()]);
-        let variant = member_of(variant.config);
+        let variant = FleetMember::new(variant.config);
         assert_eq!(
             base.cluster, variant.cluster,
             "profiles must not affect the cluster key"
@@ -1033,7 +1011,7 @@ mod tests {
             corrupted: 1,
             link_failures: 0,
         };
-        let reduced = member_of(from_scada("b-reduced", &reduced, "secured").unwrap());
+        let reduced = FleetMember::new(from_scada("b-reduced", &reduced, "secured").unwrap());
         assert_eq!(base.cluster, reduced.cluster);
 
         let plan = plan_fleet(FleetScan {

@@ -71,7 +71,8 @@ use crate::verify::{Analyzer, VerificationReport};
 
 /// Applies `f` to every item on `jobs` workers, returning results in
 /// input order. `jobs = 0` uses all available parallelism; `jobs = 1`
-/// runs inline (the serial baseline).
+/// runs inline (the serial baseline). No more workers start than there
+/// are items, whatever `jobs` asks for.
 ///
 /// `f` also receives the fleet's shared cancellation flag, for
 /// threading into [`QueryLimits::with_interrupt`] so that a panic in
@@ -97,7 +98,7 @@ where
     R: Send,
     F: Fn(usize, &T, &Arc<AtomicBool>) -> R + Sync,
 {
-    let jobs = effective_jobs(jobs);
+    let jobs = effective_jobs(jobs).min(items.len().max(1));
     let injector = Injector::new(0..items.len());
     let guard = FleetGuard::new();
     let cancel = guard.cancel_flag();
@@ -411,6 +412,22 @@ mod tests {
             });
             assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
         }
+    }
+
+    /// A `jobs` larger than the item count starts one worker per item,
+    /// not `jobs` threads.
+    #[test]
+    fn par_map_starts_no_more_workers_than_items() {
+        let items = [1, 2, 3];
+        let sink = Arc::new(crate::obs::BufferSink::new());
+        let obs = Obs::none().with_tracer(sink.clone());
+        assert_eq!(par_map(&items, 64, &obs, |_, &x, _| x), items);
+        let workers = sink
+            .lines()
+            .iter()
+            .filter(|line| line.contains("\"worker_done\""))
+            .count();
+        assert_eq!(workers, items.len());
     }
 
     #[test]

@@ -152,7 +152,7 @@ impl VerdictCache {
     /// Inserts a reply if it is cacheable, evicting the least recently
     /// used entry when full. Returns whether the reply was stored.
     pub fn insert(&mut self, key: CacheKey, reply: &QueryReply) -> bool {
-        if self.capacity == 0 || !reply.is_cacheable() {
+        if self.capacity == 0 || !reply.is_cacheable(&key.limits) {
             return false;
         }
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {

@@ -169,6 +169,21 @@ fn avalanche(mut x: u64) -> u64 {
 /// equal; any single-field change separates them (property-tested in
 /// `tests/service.rs`).
 pub fn model_hash(input: &AnalysisInput) -> ModelHash {
+    hash_input(input, true)
+}
+
+/// The canonical hash of an input with its explicit pair-security table
+/// read as empty: equal to the [`model_hash`] of the same input with
+/// that table stripped. Inputs that differ only in pair security — the
+/// axis [`ModelPatch::SetProfile`] chains traverse — share it (the
+/// fleet planner's cluster key).
+pub fn security_normalized_hash(input: &AnalysisInput) -> ModelHash {
+    hash_input(input, false)
+}
+
+/// The canonical serialization behind [`model_hash`]; `security: false`
+/// hashes the pair-security section as an empty table.
+fn hash_input(input: &AnalysisInput, security: bool) -> ModelHash {
     let mut mix = Mix::new();
 
     // Power system: bus count and branch list (branch order is semantic —
@@ -226,7 +241,7 @@ pub fn model_hash(input: &AnalysisInput) -> ModelHash {
     // unordered profile sets.
     mix.tag("security");
     mix.unordered(
-        input.topology.pair_security_entries(),
+        input.topology.pair_security_entries().filter(|_| security),
         |m, (a, b, profiles)| {
             m.usize(a.index().min(b.index()));
             m.usize(a.index().max(b.index()));

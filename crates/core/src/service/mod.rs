@@ -68,7 +68,7 @@ pub mod signal;
 pub use cache::VerdictCache;
 #[cfg(unix)]
 pub use eventloop::serve_event_loop;
-pub use hash::{advance_model_hash, model_hash, ModelHash};
+pub use hash::{advance_model_hash, model_hash, security_normalized_hash, ModelHash};
 pub use journal::{
     Durability, FaultKind, FaultPlan, Journal, JournalConfig, JournalError, JournaledEngine,
 };

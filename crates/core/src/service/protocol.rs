@@ -931,7 +931,10 @@ pub enum QueryReply {
     /// Reply to `maxres`.
     MaxRes {
         /// The maximum budget at which the property still holds; `None`
-        /// when the search was undecided at some step.
+        /// when the property fails with nothing failed, or when the
+        /// search was undecided at some step. Only the request's limits
+        /// tell the two apart (see [`QueryReply::is_cacheable`]), so
+        /// [`QueryReply::exit_hint`] reads every `None` as undecided.
         max: Option<usize>,
     },
     /// Reply to `enumerate`.
@@ -968,17 +971,20 @@ pub enum QueryReply {
 }
 
 impl QueryReply {
-    /// Whether this reply is safe to cache: every sub-result decided.
-    /// Undecided outcomes are retried on the next request instead of
-    /// being replayed from the cache.
-    pub fn is_cacheable(&self) -> bool {
+    /// Whether this reply, answered under `limits`, is safe to cache:
+    /// every sub-result decided. Undecided outcomes are retried on the
+    /// next request instead of being replayed from the cache. A `maxres`
+    /// null is decided when the sweep ran without limits: an unlimited
+    /// sweep never ends on an `Unknown` rung, so its null means the
+    /// property fails with nothing failed.
+    pub fn is_cacheable(&self, limits: &LimitsSpec) -> bool {
         match self {
             QueryReply::Verify {
                 verdict,
                 certificate,
                 ..
             } => !verdict.is_unknown() && !matches!(certificate, Some(CertStatus::Failed(_))),
-            QueryReply::MaxRes { max } => max.is_some(),
+            QueryReply::MaxRes { max } => max.is_some() || !limits.is_bounded(),
             QueryReply::Enumerate { undecided, .. } => !undecided,
             QueryReply::SecurityIndex { cert_failures, .. } => *cert_failures == 0,
             QueryReply::Patched { .. } => false,
@@ -1519,7 +1525,7 @@ mod tests {
             solves: 9,
             cert_failures: 0,
         };
-        assert!(reply.is_cacheable());
+        assert!(reply.is_cacheable(&LimitsSpec::default()));
         assert_eq!(reply.exit_hint(), 0);
         let line = reply_line(ModelHash(1), &reply, "cached", 55);
         let parsed = parse_json(&line).unwrap();
@@ -1546,7 +1552,7 @@ mod tests {
             solves: 4,
             cert_failures: 1,
         };
-        assert!(!failed.is_cacheable());
+        assert!(!failed.is_cacheable(&LimitsSpec::default()));
         assert_eq!(failed.exit_hint(), 4);
     }
 
@@ -1561,19 +1567,47 @@ mod tests {
             attempts: 1,
             certificate: None,
         };
-        assert!(!unknown.is_cacheable());
+        assert!(!unknown.is_cacheable(&LimitsSpec::default()));
         assert_eq!(unknown.exit_hint(), 3);
         let decided = QueryReply::MaxRes { max: Some(2) };
-        assert!(decided.is_cacheable());
+        assert!(decided.is_cacheable(&LimitsSpec::default()));
         assert_eq!(decided.exit_hint(), 0);
-        assert!(!QueryReply::MaxRes { max: None }.is_cacheable());
         let failed = QueryReply::Verify {
             verdict: Verdict::Resilient,
             conflicts: 0,
             attempts: 1,
             certificate: Some(CertStatus::Failed("mismatch".to_string())),
         };
-        assert!(!failed.is_cacheable());
+        assert!(!failed.is_cacheable(&LimitsSpec::default()));
         assert_eq!(failed.exit_hint(), 4);
+    }
+
+    /// An unlimited sweep cannot end on an `Unknown` rung, so its null
+    /// means "fails with nothing failed" and is as final as any number.
+    #[test]
+    fn unlimited_maxres_null_is_cacheable() {
+        let null = QueryReply::MaxRes { max: None };
+        assert!(null.is_cacheable(&LimitsSpec::default()));
+        // The reply alone cannot tell it from an undecided null.
+        assert_eq!(null.exit_hint(), 3);
+    }
+
+    /// A limited sweep's null may stand for an `Unknown` rung: it is
+    /// retried on the next request, not replayed.
+    #[test]
+    fn limited_maxres_null_is_not_cacheable() {
+        let null = QueryReply::MaxRes { max: None };
+        let timeout = LimitsSpec {
+            timeout_ms: Some(50),
+            conflict_budget: None,
+        };
+        let budget = LimitsSpec {
+            timeout_ms: None,
+            conflict_budget: Some(100),
+        };
+        assert!(!null.is_cacheable(&timeout));
+        assert!(!null.is_cacheable(&budget));
+        assert!(QueryReply::MaxRes { max: Some(0) }.is_cacheable(&timeout));
+        assert_eq!(null.exit_hint(), 3);
     }
 }

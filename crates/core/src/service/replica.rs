@@ -143,7 +143,7 @@ impl ReplicaCache {
     /// Evicts the oldest-published entry when full. An entry published
     /// with a stale snapshot is stored but never served.
     pub fn publish(&self, key: &CacheKey, reply: &QueryReply, epoch: u64) {
-        if !self.is_enabled() || !reply.is_cacheable() {
+        if !self.is_enabled() || !reply.is_cacheable(&key.limits) {
             return;
         }
         let mut inner = write(&self.inner);

@@ -12,9 +12,15 @@
 //! retry policy, and a cooperative interrupt flag. A bounded query that
 //! runs out of resources degrades to [`Verdict::Unknown`] — a sound
 //! "could not decide", never misreported as `Resilient`.
+//!
+//! A plain (non-certified) analyzer first asks the direct evaluator
+//! whether the property already fails with nothing failed. Violation is
+//! upward-closed in failures, so every budget's answer is then the empty
+//! threat vector, and the query returns it without encoding or solving
+//! (see DESIGN.md, "Zero-failure short-circuit").
 
 use std::borrow::Cow;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use scadasim::DeviceId;
@@ -27,6 +33,9 @@ use crate::obs::{next_query_id, Obs, TraceEvent};
 use crate::patch::{ModelPatch, PatchError};
 use crate::spec::{Property, QueryLimits, ResiliencySpec};
 use crate::threat::ThreatVector;
+
+/// Failed devices and failed link indices of one failure scenario.
+type FailureSets = (HashSet<DeviceId>, HashSet<usize>);
 
 /// The outcome of a verification query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,6 +140,9 @@ pub struct Analyzer<'a> {
     cert: Option<CertSession>,
     /// Model patches applied so far (delta provenance).
     patches: u64,
+    /// Whether the all-up state (nothing failed) violates the property,
+    /// per `(property, r)`, for the current model. Cleared by patches.
+    fails_at_zero: HashMap<(Property, usize), bool>,
 }
 
 impl<'a> Analyzer<'a> {
@@ -174,6 +186,7 @@ impl<'a> Analyzer<'a> {
             certify,
             cert,
             patches: 0,
+            fails_at_zero: HashMap::new(),
         }
     }
 
@@ -226,6 +239,7 @@ impl<'a> Analyzer<'a> {
         let stats = self.encoder.apply_delta(&next);
         self.evaluator = DirectEvaluator::new(&next);
         *self.input.to_mut() = next;
+        self.fails_at_zero.clear();
         self.patches += 1;
         self.obs.count("patches_applied", 1);
         self.obs.trace(|| TraceEvent::PatchApplied {
@@ -355,6 +369,86 @@ impl<'a> Analyzer<'a> {
             property,
             spec,
         });
+        let (verdict, attempts, full_violation) =
+            if self.fails_with_nothing_failed(property, spec.corrupted) {
+                let nothing = ThreatVector::from_failed(&self.input.topology, []);
+                (Verdict::Threat(nothing), 0, None)
+            } else {
+                self.solve(query, property, spec, &limits, start)
+            };
+        let certificate = self.certify_verdict(
+            query,
+            property,
+            spec,
+            &verdict,
+            full_violation.as_ref().map(|(d, l)| (d, l)),
+        );
+        let total_conflicts = self.encoder.solver_stats().conflicts - conflicts_before;
+        obs.trace(|| TraceEvent::QueryDone {
+            query,
+            verdict: match &verdict {
+                Verdict::Resilient => "resilient",
+                Verdict::Threat(_) => "threat",
+                Verdict::Unknown { .. } => "unknown",
+            },
+            attempts,
+            conflicts: total_conflicts,
+            elapsed: start.elapsed(),
+        });
+        obs.count("queries", 1);
+        obs.count(
+            match &verdict {
+                Verdict::Resilient => "verdict_resilient",
+                Verdict::Threat(_) => "verdict_threat",
+                Verdict::Unknown { .. } => "verdict_unknown",
+            },
+            1,
+        );
+        obs.count("conflicts", total_conflicts);
+        obs.observe_duration("query_us", start.elapsed());
+        VerificationReport {
+            property,
+            spec,
+            verdict,
+            duration: start.elapsed(),
+            encoding: self.encoder.stats(),
+            conflicts: self.encoder.solver_stats().conflicts - conflicts_before,
+            attempts,
+            certificate,
+        }
+    }
+
+    /// Whether this plain analyzer's property already fails in the
+    /// all-up state (no device or link failed). Violation is
+    /// upward-closed in failures, so such a property fails under every
+    /// budget and every solver witness minimizes to the empty vector.
+    /// Evaluated once per `(property, r)` per model state; a certified
+    /// analyzer always answers `false`, so its verdicts keep their
+    /// solver proof.
+    fn fails_with_nothing_failed(&mut self, property: Property, r: usize) -> bool {
+        if self.cert.is_some() {
+            return false;
+        }
+        let evaluator = &self.evaluator;
+        *self.fails_at_zero.entry((property, r)).or_insert_with(|| {
+            evaluator.violates_full(property, r, &HashSet::new(), &HashSet::new())
+        })
+    }
+
+    /// Runs the solver to a verdict (or until `limits` stop it),
+    /// escalating an exhausted conflict budget per `limits.retry`.
+    /// Returns the verdict, the attempts spent, and on `sat` the full
+    /// (pre-minimization) failure sets, kept for certification.
+    fn solve(
+        &mut self,
+        query: u64,
+        property: Property,
+        spec: ResiliencySpec,
+        limits: &QueryLimits,
+        start: Instant,
+    ) -> (Verdict, u32, Option<FailureSets>) {
+        let obs = self.obs.clone();
+        let conflicts_before = self.encoder.solver_stats().conflicts;
         if obs.has_tracer() {
             // Surface long solve attempts as they run: the solver calls
             // this at every Luby restart.
@@ -372,9 +466,7 @@ impl<'a> Analyzer<'a> {
                 })));
         }
         let mut attempts: u32 = 0;
-        // The full (pre-minimization) failure sets of a sat verdict,
-        // kept for certification.
-        let mut full_violation: Option<(HashSet<DeviceId>, HashSet<usize>)> = None;
+        let mut full_violation: Option<FailureSets> = None;
         let verdict = loop {
             limits.arm(self.encoder.solver_mut(), attempts);
             let attempt_start = Instant::now();
@@ -465,45 +557,6 @@ impl<'a> Analyzer<'a> {
         if obs.has_tracer() {
             self.encoder.solver_mut().set_progress_hook(None);
         }
-        let certificate = self.certify_verdict(
-            query,
-            property,
-            spec,
-            &verdict,
-            full_violation.as_ref().map(|(d, l)| (d, l)),
-        );
-        let total_conflicts = self.encoder.solver_stats().conflicts - conflicts_before;
-        obs.trace(|| TraceEvent::QueryDone {
-            query,
-            verdict: match &verdict {
-                Verdict::Resilient => "resilient",
-                Verdict::Threat(_) => "threat",
-                Verdict::Unknown { .. } => "unknown",
-            },
-            attempts,
-            conflicts: total_conflicts,
-            elapsed: start.elapsed(),
-        });
-        obs.count("queries", 1);
-        obs.count(
-            match &verdict {
-                Verdict::Resilient => "verdict_resilient",
-                Verdict::Threat(_) => "verdict_threat",
-                Verdict::Unknown { .. } => "verdict_unknown",
-            },
-            1,
-        );
-        obs.count("conflicts", total_conflicts);
-        obs.observe_duration("query_us", start.elapsed());
-        VerificationReport {
-            property,
-            spec,
-            verdict,
-            duration: start.elapsed(),
-            encoding: self.encoder.stats(),
-            conflicts: self.encoder.solver_stats().conflicts - conflicts_before,
-            attempts,
-            certificate,
-        }
+        (verdict, attempts, full_violation)
     }
 }

@@ -79,11 +79,19 @@ fn exit_2_without_config_path() {
 #[test]
 fn exit_3_when_limits_leave_queries_undecided() {
     let config = template_config("undecided");
-    // A zero wall-clock budget leaves every query UNKNOWN; no threat is
-    // found, so this is exit 3, not 0.
-    let out = run(&config, &["--timeout", "0ms"]);
+    // A zero wall-clock budget leaves every solver query UNKNOWN; no
+    // threat is found, so this is exit 3, not 0. (Plain observability:
+    // the template's secured properties already fail with nothing
+    // failed, which is decided without the solver.)
+    let out = run(&config, &["--property", "obs", "--timeout", "0ms"]);
     assert_eq!(exit_code(&out), 3);
     assert!(text(&out.stdout).contains("UNKNOWN"));
+    // Those properties still answer the empty threat under the same
+    // budget, and a threat outranks undecided.
+    let out = run(&config, &["--timeout", "0ms"]);
+    assert_eq!(exit_code(&out), 1);
+    assert!(text(&out.stdout).contains("[observability] UNKNOWN"));
+    assert!(text(&out.stdout).contains("[secured observability] THREAT {}"));
 }
 
 #[test]

@@ -17,10 +17,15 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use proptest::prelude::*;
-use scada_analyzer::fleet::{plan_fleet, run_plan, scan_fleet, FleetPlan, PlanStep, ReportRow};
-use scada_analyzer::ingest::{export_files, from_scada, import_files};
-use scada_analyzer::service::{model_hash, Engine, ServeOptions, ShardedEngine};
-use scada_analyzer::CertifyOptions;
+use scada_analyzer::fleet::{
+    plan_fleet, run_batch, run_plan, scan_fleet, FleetMember, FleetPlan, FleetScan, PlanStep,
+    ReportRow,
+};
+use scada_analyzer::ingest::{export_files, from_scada, import_files, ImportedConfig};
+use scada_analyzer::service::{
+    model_hash, security_normalized_hash, Engine, ServeOptions, ShardedEngine,
+};
+use scada_analyzer::{AnalysisInput, CertifyOptions};
 use scadasim::{generate, CryptoProfile, ScadaConfig, ScadaGenConfig};
 
 fn fleet_dir() -> PathBuf {
@@ -334,6 +339,112 @@ fn strip_timing(line: &str) -> String {
     }
     out.push_str(rest);
     out
+}
+
+/// `run_batch` scans and executes on `jobs` workers; the rows
+/// (malformed config included) are byte-identical, modulo timing, for
+/// 1, 2 and all available workers, and for a `jobs` above the config
+/// count (capped to one worker per config or cluster).
+#[test]
+fn run_batch_rows_are_identical_across_jobs() {
+    let rows_at = |jobs: usize| -> Vec<String> {
+        let engine = Engine::new(ServeOptions::default());
+        let submit = |line: &str| engine.handle_line(line).line;
+        let outcome = run_batch(&fleet_dir(), jobs, &submit).expect("fleet root readable");
+        engine.drain();
+        outcome
+            .rows
+            .iter()
+            .map(|row| strip_timing(&row.render_json()))
+            .collect()
+    };
+    let serial = rows_at(1);
+    assert_eq!(serial.len(), 13);
+    assert_eq!(
+        serial
+            .iter()
+            .filter(|row| row.contains("\"ok\":false"))
+            .count(),
+        1,
+        "the malformed config is the one error row"
+    );
+    for jobs in [2, 0, 64] {
+        assert_eq!(rows_at(jobs), serial, "rows diverged at jobs {jobs}");
+    }
+}
+
+/// The security-normalized hash as it was first defined: strip the
+/// pair-security table from the config, lower it again, and hash.
+fn relowered_normalized_hash(config: &ImportedConfig) -> scada_analyzer::service::ModelHash {
+    let scada = &config.scada;
+    let stripped = ScadaConfig {
+        measurements: scada.measurements.clone(),
+        topology: scadasim::Topology::new(
+            scada.topology.devices().to_vec(),
+            scada.topology.links().to_vec(),
+        ),
+        ied_measurements: scada.ied_measurements.clone(),
+        resilience: scada.resilience,
+        corrupted: scada.corrupted,
+        link_failures: scada.link_failures,
+    };
+    model_hash(&AnalysisInput::from(stripped))
+}
+
+/// Checks that hashing the lowered input with its security section
+/// skipped gives the key the strip-and-relower definition gives, and
+/// that the plan is the same under either key.
+fn assert_cluster_keys_unchanged(scan: FleetScan) {
+    let mut relowered = scan.clone();
+    for member in &mut relowered.members {
+        let normalized = relowered_normalized_hash(&member.config);
+        assert_eq!(
+            security_normalized_hash(&member.input),
+            normalized,
+            "{}",
+            member.config.name
+        );
+        member.cluster.0 = normalized;
+    }
+    let plan = plan_fleet(scan);
+    let reference = plan_fleet(relowered);
+    assert_eq!(plan.route_counts(), reference.route_counts());
+    assert_eq!(plan.clusters, reference.clusters);
+}
+
+#[test]
+fn cluster_keys_match_the_relowered_definition() {
+    assert_cluster_keys_unchanged(scan_fleet(&fleet_dir()).unwrap());
+
+    // A generated portfolio: three systems, each with a duplicate, two
+    // profile rotations and a member that lost an entry (cold fallback).
+    let mut members = Vec::new();
+    for (buses, seed) in [(14usize, 3u64), (30, 4), (57, 5)] {
+        let base = base_scada(buses, seed);
+        let mut lost = base.clone();
+        lost.topology = scadasim::Topology::new(
+            base.topology.devices().to_vec(),
+            base.topology.links().to_vec(),
+        );
+        let variants = [
+            base.clone(),
+            base.clone(),
+            with_profiles(&base, &[(0, "aes 256")]),
+            with_profiles(&base, &[(1, "rsa 2048"), (2, "aes 128")]),
+            lost,
+        ];
+        for (i, scada) in variants.iter().enumerate() {
+            let config = from_scada(&format!("g{buses}-{i}"), scada, "secured").unwrap();
+            members.push(FleetMember::new(config));
+        }
+    }
+    let scan = FleetScan {
+        members,
+        errors: Vec::new(),
+    };
+    let (cold, patch, dup) = plan_fleet(scan.clone()).route_counts();
+    assert_eq!((cold, patch, dup), (6, 6, 3));
+    assert_cluster_keys_unchanged(scan);
 }
 
 /// Options with the `batch` op enabled on the example-fleet root.

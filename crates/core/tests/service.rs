@@ -83,6 +83,54 @@ fn security_index_of_an_unattackable_injection_is_an_error_not_a_panic() {
     engine.drain();
 }
 
+/// A `maxres` null from an unlimited sweep is final (the property fails
+/// with nothing failed) and replays from the cache; the same null under
+/// a conflict budget may hide an `Unknown` rung and is recomputed.
+#[test]
+fn maxres_null_is_cached_only_when_unlimited() {
+    let section = BASE_CONFIG.find("[security]").expect("security section");
+    let end = BASE_CONFIG.find("[spec]").expect("spec section");
+    let config = format!("{}{}", &BASE_CONFIG[..section], &BASE_CONFIG[end..]);
+    let engine = Engine::new(ServeOptions::default());
+    let load = engine
+        .handle_line(&format!(
+            "{{\"op\":\"load\",\"config\":\"{}\"}}",
+            config.replace('\n', "\\n")
+        ))
+        .line;
+    let model = load
+        .split("\"model\":\"")
+        .nth(1)
+        .and_then(|rest| rest.split('"').next())
+        .unwrap_or_else(|| panic!("load failed: {load}"));
+    let maxres = |limits: &str| {
+        engine
+            .handle_line(&format!(
+                "{{\"op\":\"maxres\",\"model\":\"{model}\",\"property\":\"secured\",\
+                 \"axis\":\"total\",\"r\":0{limits}}}"
+            ))
+            .line
+    };
+    let first = maxres("");
+    assert!(
+        first.contains("\"max\":null") && !first.contains("\"provenance\":\"cached\""),
+        "{first}"
+    );
+    let repeat = maxres("");
+    assert!(
+        repeat.contains("\"max\":null") && repeat.contains("\"provenance\":\"cached\""),
+        "{repeat}"
+    );
+    let budget = ",\"limits\":{\"conflict_budget\":1000}";
+    for reply in [maxres(budget), maxres(budget)] {
+        assert!(
+            reply.contains("\"max\":null") && !reply.contains("\"provenance\":\"cached\""),
+            "{reply}"
+        );
+    }
+    engine.drain();
+}
+
 fn input_from(text: &str) -> AnalysisInput {
     AnalysisInput::from(parse_config(text).unwrap_or_else(|e| panic!("config: {e}")))
 }
