@@ -7,13 +7,23 @@
 //! (property-tested in `tests/cross_validation.rs`), and providing an
 //! exhaustive baseline ([`DirectEvaluator::find_threat_exhaustive`])
 //! whose cost the benchmarks compare against the SAT encoding.
+//!
+//! The precomputed paths are the model's path table, the one the SAT
+//! encoder reads: an [`crate::Analyzer`] enumerates it once per model
+//! version and shares it. The path sets are not what the cross-check
+//! tests: separate copies would come from the same `scadasim::paths`
+//! functions. What stays independent is everything built on them:
+//! this module evaluates delivery, observability and detectability
+//! directly for one failure set, while the encoder turns the same paths
+//! into Tseitin definitions, counters and a solver search.
 
 use std::collections::HashSet;
+use std::sync::LazyLock;
 
 use powergrid::observability::boolean_observability;
-use scadasim::paths::{forwarding_paths, links_of_path, path_secured, ForwardingPath};
 use scadasim::DeviceId;
 
+use crate::encode::paths::{enumerate_paths, PathTable, PathWithLinks};
 use crate::input::AnalysisInput;
 use crate::spec::{FailureBudget, Property, ResiliencySpec};
 use crate::threat::ThreatVector;
@@ -26,73 +36,46 @@ use crate::threat::ThreatVector;
 #[derive(Debug)]
 pub struct DirectEvaluator {
     input: AnalysisInput,
-    /// Assured-delivery paths per device index (empty for non-IEDs).
-    assured_paths: Vec<Vec<ForwardingPath>>,
-    /// The subset of those paths whose every security hop is secured.
-    secured_paths: Vec<Vec<ForwardingPath>>,
-    /// Link indices per assured path (parallel to `assured_paths`).
-    assured_links: Vec<Vec<Vec<usize>>>,
-    /// Link indices per secured path.
-    secured_links: Vec<Vec<Vec<usize>>>,
+    /// The model's path table: assured and secured paths per device
+    /// index (empty for non-IEDs).
+    paths: PathTable,
     /// Recording IED per measurement.
     recorded_by: Vec<Option<DeviceId>>,
 }
 
 /// An empty link-failure set, for the device-only entry points.
-static NO_LINKS_SET: std::sync::LazyLock<HashSet<usize>> = std::sync::LazyLock::new(HashSet::new);
-#[allow(non_upper_case_globals)]
-static NO_LINKS: &std::sync::LazyLock<HashSet<usize>> = &NO_LINKS_SET;
+static NO_LINKS: LazyLock<HashSet<usize>> = LazyLock::new(HashSet::new);
 
 impl DirectEvaluator {
-    /// Precomputes paths for every IED (cloning the input).
+    /// Enumerates the paths of every IED (cloning the input).
     pub fn new(input: &AnalysisInput) -> DirectEvaluator {
-        let n = input.topology.num_devices();
-        let mut assured_paths = vec![Vec::new(); n];
-        let mut secured_paths = vec![Vec::new(); n];
-        let mut assured_links = vec![Vec::new(); n];
-        let mut secured_links = vec![Vec::new(); n];
-        for ied in input.topology.ieds() {
-            let paths = forwarding_paths(&input.topology, ied.id(), &input.path_limits);
-            let secured: Vec<ForwardingPath> = paths
-                .iter()
-                .filter(|p| path_secured(&input.topology, &input.policy, p))
-                .cloned()
-                .collect();
-            let idx = ied.id().index();
-            assured_links[idx] = paths
-                .iter()
-                .map(|p| links_of_path(&input.topology, p))
-                .collect();
-            secured_links[idx] = secured
-                .iter()
-                .map(|p| links_of_path(&input.topology, p))
-                .collect();
-            assured_paths[idx] = paths;
-            secured_paths[idx] = secured;
-        }
+        DirectEvaluator::with_paths(input, enumerate_paths(input))
+    }
+
+    /// Builds the evaluator over `input`'s already enumerated path table.
+    pub(crate) fn with_paths(input: &AnalysisInput, paths: PathTable) -> DirectEvaluator {
         DirectEvaluator {
             recorded_by: input.recorded_by(),
             input: input.clone(),
-            assured_paths,
-            secured_paths,
-            assured_links,
-            secured_links,
+            paths,
         }
     }
 
-    fn path_alive(
-        path: &ForwardingPath,
-        links: &[usize],
+    /// Whether some path survives the failure sets.
+    fn any_alive(
+        paths: &[PathWithLinks],
         failed: &HashSet<DeviceId>,
         failed_links: &HashSet<usize>,
     ) -> bool {
-        path.iter().all(|d| !failed.contains(d))
-            && links.iter().all(|li| !failed_links.contains(li))
+        paths.iter().any(|(path, links)| {
+            path.iter().all(|d| !failed.contains(d))
+                && links.iter().all(|li| !failed_links.contains(li))
+        })
     }
 
     /// The paper's `AssuredDelivery_I` for a concrete failure set.
     pub fn assured_delivery(&self, ied: DeviceId, failed: &HashSet<DeviceId>) -> bool {
-        self.assured_delivery_full(ied, failed, NO_LINKS)
+        self.assured_delivery_full(ied, failed, &NO_LINKS)
     }
 
     /// Assured delivery under device *and* link failures.
@@ -102,15 +85,12 @@ impl DirectEvaluator {
         failed: &HashSet<DeviceId>,
         failed_links: &HashSet<usize>,
     ) -> bool {
-        self.assured_paths[ied.index()]
-            .iter()
-            .zip(self.assured_links[ied.index()].iter())
-            .any(|(p, ls)| Self::path_alive(p, ls, failed, failed_links))
+        Self::any_alive(&self.paths[ied.index()].all, failed, failed_links)
     }
 
     /// The paper's `SecuredDelivery_I`.
     pub fn secured_delivery(&self, ied: DeviceId, failed: &HashSet<DeviceId>) -> bool {
-        self.secured_delivery_full(ied, failed, NO_LINKS)
+        self.secured_delivery_full(ied, failed, &NO_LINKS)
     }
 
     /// Secured delivery under device *and* link failures.
@@ -120,20 +100,17 @@ impl DirectEvaluator {
         failed: &HashSet<DeviceId>,
         failed_links: &HashSet<usize>,
     ) -> bool {
-        self.secured_paths[ied.index()]
-            .iter()
-            .zip(self.secured_links[ied.index()].iter())
-            .any(|(p, ls)| Self::path_alive(p, ls, failed, failed_links))
+        Self::any_alive(&self.paths[ied.index()].secured, failed, failed_links)
     }
 
     /// Delivery flags per measurement (`D_Z`).
     pub fn delivered(&self, failed: &HashSet<DeviceId>) -> Vec<bool> {
-        self.flags(failed, NO_LINKS, false)
+        self.flags(failed, &NO_LINKS, false)
     }
 
     /// Secured flags per measurement (`S_Z`).
     pub fn secured(&self, failed: &HashSet<DeviceId>) -> Vec<bool> {
-        self.flags(failed, NO_LINKS, true)
+        self.flags(failed, &NO_LINKS, true)
     }
 
     fn flags(
@@ -158,7 +135,7 @@ impl DirectEvaluator {
 
     /// Whether the property *holds* under the failure set.
     pub fn holds(&self, property: Property, r: usize, failed: &HashSet<DeviceId>) -> bool {
-        self.holds_full(property, r, failed, NO_LINKS)
+        self.holds_full(property, r, failed, &NO_LINKS)
     }
 
     /// Whether the property holds under device *and* link failures.
@@ -170,19 +147,10 @@ impl DirectEvaluator {
         failed_links: &HashSet<usize>,
     ) -> bool {
         match property {
-            Property::Observability => {
-                boolean_observability(
-                    &self.input.measurements,
-                    &self.flags(failed, failed_links, false),
-                )
-                .observable
-            }
-            Property::SecuredObservability => {
-                boolean_observability(
-                    &self.input.measurements,
-                    &self.flags(failed, failed_links, true),
-                )
-                .observable
+            Property::Observability | Property::SecuredObservability => {
+                let secured = property == Property::SecuredObservability;
+                let flags = self.flags(failed, failed_links, secured);
+                boolean_observability(&self.input.measurements, &flags).observable
             }
             Property::BadDataDetectability => {
                 let secured = self.flags(failed, failed_links, true);
@@ -223,7 +191,7 @@ impl DirectEvaluator {
         r: usize,
         failed: &HashSet<DeviceId>,
     ) -> ThreatVector {
-        self.minimize_full(property, r, failed, NO_LINKS)
+        self.minimize_full(property, r, failed, &NO_LINKS)
     }
 
     /// Shrinks a violating device+link failure set to a minimal one.
@@ -247,8 +215,7 @@ impl DirectEvaluator {
                 .copied()
                 .filter(|&d| d != devices[i])
                 .collect();
-            let lset: HashSet<usize> = links.iter().copied().collect();
-            if self.violates_full(property, r, &without, &lset) {
+            if self.violates_full(property, r, &without, failed_links) {
                 devices.remove(i);
             } else {
                 i += 1;
@@ -269,122 +236,48 @@ impl DirectEvaluator {
     }
 
     /// Exhaustively searches for a threat vector within the budget
-    /// (baseline for benchmarks; exponential in the budget).
+    /// (baseline for benchmarks; exponential in the budget). Subsets are
+    /// tried by increasing size, each size in lexicographic order over
+    /// IEDs then RTUs, so the first hit is cardinality-minimal.
     pub fn find_threat_exhaustive(
         &self,
         property: Property,
         spec: ResiliencySpec,
     ) -> Option<ThreatVector> {
-        let ieds: Vec<DeviceId> = self.input.topology.ieds().map(|d| d.id()).collect();
-        let rtus: Vec<DeviceId> = self.input.topology.rtus().map(|d| d.id()).collect();
+        let topology = &self.input.topology;
+        let n_ieds = topology.ieds().count();
+        let all: Vec<DeviceId> = topology
+            .ieds()
+            .chain(topology.rtus())
+            .map(|d| d.id())
+            .collect();
+        let n = all.len();
         let (max_ied, max_rtu, max_total) = match spec.budget {
             FailureBudget::Split { ieds: a, rtus: b } => (a, b, a + b),
             FailureBudget::Total(k) => (k, k, k),
         };
-        // Enumerate subsets by increasing size so the first hit is
-        // cardinality-minimal.
-        let mut found: Option<ThreatVector> = None;
-        let mut best: Option<usize> = None;
-        self.search(
-            property,
-            spec,
-            &ieds,
-            &rtus,
-            max_ied.min(ieds.len()),
-            max_rtu.min(rtus.len()),
-            max_total,
-            &mut found,
-            &mut best,
-        );
-        found
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn search(
-        &self,
-        property: Property,
-        spec: ResiliencySpec,
-        ieds: &[DeviceId],
-        rtus: &[DeviceId],
-        max_ied: usize,
-        max_rtu: usize,
-        max_total: usize,
-        found: &mut Option<ThreatVector>,
-        best: &mut Option<usize>,
-    ) {
-        // Iterate over total failure size.
-        for size in 0..=max_total.min(ieds.len() + rtus.len()) {
-            if best.is_some() {
-                return;
-            }
-            let mut subset: Vec<DeviceId> = Vec::with_capacity(size);
-            self.subsets_of_size(
-                property,
-                spec,
-                ieds,
-                rtus,
-                max_ied,
-                max_rtu,
-                size,
-                0,
-                &mut subset,
-                found,
-                best,
-            );
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn subsets_of_size(
-        &self,
-        property: Property,
-        spec: ResiliencySpec,
-        ieds: &[DeviceId],
-        rtus: &[DeviceId],
-        max_ied: usize,
-        max_rtu: usize,
-        remaining: usize,
-        start: usize,
-        subset: &mut Vec<DeviceId>,
-        found: &mut Option<ThreatVector>,
-        best: &mut Option<usize>,
-    ) {
-        if best.is_some() {
-            return;
-        }
-        if remaining == 0 {
-            let n_ied = subset.iter().filter(|d| ieds.contains(d)).count();
-            let n_rtu = subset.len() - n_ied;
-            if n_ied > max_ied || n_rtu > max_rtu {
-                return;
-            }
-            let failed: HashSet<DeviceId> = subset.iter().copied().collect();
-            if self.violates(property, spec.corrupted, &failed) {
-                *best = Some(subset.len());
-                *found = Some(ThreatVector::from_failed(&self.input.topology, failed));
-            }
-            return;
-        }
-        let all: Vec<DeviceId> = ieds.iter().chain(rtus.iter()).copied().collect();
-        for (i, &device) in all.iter().enumerate().skip(start) {
-            subset.push(device);
-            self.subsets_of_size(
-                property,
-                spec,
-                ieds,
-                rtus,
-                max_ied,
-                max_rtu,
-                remaining - 1,
-                i + 1,
-                subset,
-                found,
-                best,
-            );
-            subset.pop();
-            if best.is_some() {
-                return;
+        for size in 0..=max_total.min(n) {
+            // Indices into `all` of the current subset, ascending.
+            let mut subset: Vec<usize> = (0..size).collect();
+            loop {
+                let in_ieds = subset.iter().filter(|&&i| i < n_ieds).count();
+                if in_ieds <= max_ied && size - in_ieds <= max_rtu {
+                    let failed: HashSet<DeviceId> = subset.iter().map(|&i| all[i]).collect();
+                    if self.violates(property, spec.corrupted, &failed) {
+                        return Some(ThreatVector::from_failed(topology, failed));
+                    }
+                }
+                // Advance to the next subset: bump the last index that
+                // can still move and reset the ones after it.
+                let Some(p) = (0..size).rev().find(|&p| subset[p] < n - size + p) else {
+                    break;
+                };
+                subset[p] += 1;
+                for q in p + 1..size {
+                    subset[q] = subset[q - 1] + 1;
+                }
             }
         }
+        None
     }
 }

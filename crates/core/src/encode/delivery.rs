@@ -2,7 +2,8 @@
 //!
 //! `AssuredDelivery_I` holds iff some forwarding path from IED `I` to the
 //! MTU has every device available (links are static; statically
-//! incompatible hops were already excluded during path enumeration).
+//! incompatible hops were already excluded when the model's path table,
+//! [`super::paths`], was built).
 //! `SecuredDelivery_I` additionally requires every security hop of the
 //! path to be authenticated and integrity-protected under the policy.
 //!
@@ -12,58 +13,10 @@
 
 use boolexpr::{ExprPool, NodeRef};
 use satcore::Lit;
-use scadasim::paths::{forwarding_paths, links_of_path, path_secured, ForwardingPath};
 use scadasim::DeviceId;
 
+use super::paths::PathWithLinks;
 use crate::input::AnalysisInput;
-
-/// One forwarding path with the link indices it traverses. The link
-/// indices are captured at enumeration time so the incremental encoder
-/// can diff path sets *including* their physical links: a rewire that
-/// swaps which of two parallel links carries a hop changes this pair
-/// even though the device sequence is unchanged.
-pub(crate) type PathWithLinks = (ForwardingPath, Vec<usize>);
-
-/// The enumerated paths of one IED, split by security. `PartialEq` is
-/// the incremental encoder's dirtiness test (see
-/// [`crate::encode::ModelEncoder::apply_delta`]): equal path sets mean
-/// the IED's delivery expressions are unchanged by a model delta.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct IedPaths {
-    /// All forwarding paths (assured delivery).
-    pub all: Vec<PathWithLinks>,
-    /// Paths whose every security hop is secured (secured delivery).
-    pub secured: Vec<PathWithLinks>,
-}
-
-/// Enumerates paths for every device (non-IEDs get empty entries).
-pub(crate) fn enumerate_paths(input: &AnalysisInput) -> Vec<IedPaths> {
-    let n = input.topology.num_devices();
-    let mut out = vec![
-        IedPaths {
-            all: Vec::new(),
-            secured: Vec::new(),
-        };
-        n
-    ];
-    for ied in input.topology.ieds() {
-        let all: Vec<PathWithLinks> =
-            forwarding_paths(&input.topology, ied.id(), &input.path_limits)
-                .into_iter()
-                .map(|p| {
-                    let links = links_of_path(&input.topology, &p);
-                    (p, links)
-                })
-                .collect();
-        let secured = all
-            .iter()
-            .filter(|(p, _)| path_secured(&input.topology, &input.policy, p))
-            .cloned()
-            .collect();
-        out[ied.id().index()] = IedPaths { all, secured };
-    }
-    out
-}
 
 /// `∨_paths (∧_{devices on path} Node_d ∧ ∧_{links on path} LinkUp_l)`
 /// over availability literals.

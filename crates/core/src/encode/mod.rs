@@ -16,11 +16,12 @@
 mod baddata;
 mod delivery;
 mod observability;
+pub(crate) mod paths;
 mod resilience;
 
 use std::collections::HashMap;
 
-use boolexpr::{Encoder, ExprPool, NodeRef};
+use boolexpr::{Encoder, ExprPool};
 use satcore::{Lit, ProofBuffer, SolveResult, Solver};
 use scadasim::{DeviceId, DeviceKind};
 
@@ -29,6 +30,7 @@ use crate::spec::{Property, ResiliencySpec};
 
 use baddata::BadDataEncoding;
 use observability::ObservabilityLits;
+use paths::PathTable;
 use resilience::{FailureCounters, GrowingCounter};
 
 /// Whether a device's availability literal is pinned true: the device
@@ -161,8 +163,9 @@ pub struct ModelEncoder {
     secured: Option<ObservabilityLits>,
     baddata: Option<BadDataEncoding>,
     not_detectable_cache: HashMap<usize, Lit>,
-    /// Cached per-IED path sets (shared by plain/secured/baddata).
-    paths: Vec<delivery::IedPaths>,
+    /// The model's path table (shared by plain/secured/baddata, and
+    /// with the analyzer's direct evaluator).
+    paths: PathTable,
     /// Assumptions of the most recent [`ModelEncoder::find_violation`]
     /// query, kept for verdict certification (an unsat certificate must
     /// refute exactly these).
@@ -173,16 +176,17 @@ impl ModelEncoder {
     /// Builds the base encoding: availability variables and failure
     /// counters. Property chains are added on first use.
     pub fn new(input: &AnalysisInput) -> ModelEncoder {
-        ModelEncoder::new_certified(input, false).0
+        ModelEncoder::new_certified(input, paths::enumerate_paths(input), false).0
     }
 
     /// Like [`ModelEncoder::new`], but when `certify` is set the solver
     /// is armed for certification *before* the first variable or clause
     /// exists: every original clause is mirrored, and every learnt
     /// clause, simplification, and deletion streams into the returned
-    /// [`ProofBuffer`].
+    /// [`ProofBuffer`]. `paths` must be `input`'s path table.
     pub(crate) fn new_certified(
         input: &AnalysisInput,
+        paths: PathTable,
         certify: bool,
     ) -> (ModelEncoder, Option<ProofBuffer>) {
         use satcore::CnfSink;
@@ -223,7 +227,6 @@ impl ModelEncoder {
             .iter()
             .map(|_| solver.new_var().positive())
             .collect();
-        let paths = delivery::enumerate_paths(input);
         let encoder = ModelEncoder {
             solver,
             pool: ExprPool::new(),
@@ -255,7 +258,8 @@ impl ModelEncoder {
     /// `input` must be the *patched* model this encoder was built from —
     /// the same device/link prefix, mutated only through
     /// [`ModelPatch::apply`](crate::ModelPatch::apply) (devices and
-    /// links are appended or mutated in place, never re-indexed).
+    /// links are appended or mutated in place, never re-indexed) — and
+    /// `paths` its path table.
     ///
     /// The incremental story, element by element:
     ///
@@ -285,7 +289,7 @@ impl ModelEncoder {
     ///   keeps the largest cap a counter has grown to, and the old
     ///   counter's clauses, like a dirty chain's, stay behind as a
     ///   conservative extension.
-    pub fn apply_delta(&mut self, input: &AnalysisInput) -> DeltaStats {
+    pub(crate) fn apply_delta(&mut self, input: &AnalysisInput, paths: PathTable) -> DeltaStats {
         use satcore::CnfSink;
         let mut stats = DeltaStats::default();
 
@@ -336,9 +340,7 @@ impl ModelEncoder {
         // beyond the old length belong to devices added by this delta;
         // they record no measurements (patches never touch the
         // association), so no existing chain references them.
-        let paths = delivery::enumerate_paths(input);
-        for (i, new) in paths.iter().enumerate().take(self.paths.len()) {
-            let old = &self.paths[i];
+        for (old, new) in self.paths.iter().zip(paths.iter()) {
             if old.all != new.all {
                 stats.plain_dirty = true;
             }
@@ -383,21 +385,17 @@ impl ModelEncoder {
         &self.last_assumptions
     }
 
-    fn per_ied_exprs(&mut self, input: &AnalysisInput, secured: bool) -> Vec<NodeRef> {
-        let n = input.topology.num_devices();
-        let mut out = vec![self.pool.fls(); n];
-        for ied in input.topology.ieds() {
-            let paths = &self.paths[ied.id().index()];
-            let set = if secured { &paths.secured } else { &paths.all };
-            out[ied.id().index()] =
-                delivery::delivery_expr(&mut self.pool, &self.node, &self.link_up, set);
-        }
-        out
-    }
-
-    fn plain_chain(&mut self, input: &AnalysisInput) -> &ObservabilityLits {
-        if self.plain.is_none() {
-            let per_ied = self.per_ied_exprs(input, false);
+    /// The plain (`secured == false`) or secured observability chain,
+    /// built from the path table on first use.
+    fn chain(&mut self, input: &AnalysisInput, secured: bool) -> &ObservabilityLits {
+        if self.chain_slot(secured).is_none() {
+            let mut per_ied = vec![self.pool.fls(); input.topology.num_devices()];
+            for ied in input.topology.ieds() {
+                let paths = &self.paths[ied.id().index()];
+                let set = if secured { &paths.secured } else { &paths.all };
+                per_ied[ied.id().index()] =
+                    delivery::delivery_expr(&mut self.pool, &self.node, &self.link_up, set);
+            }
             let meas = delivery::measurement_exprs(input, &mut self.pool, &per_ied);
             let lits = observability::encode_observability(
                 input,
@@ -406,35 +404,27 @@ impl ModelEncoder {
                 &mut self.solver,
                 &meas,
             );
-            self.plain = Some(lits);
+            *self.chain_slot(secured) = Some(lits);
         }
-        self.plain.as_ref().expect("just built")
+        self.chain_slot(secured).as_ref().expect("just built")
     }
 
-    fn secured_chain(&mut self, input: &AnalysisInput) -> &ObservabilityLits {
-        if self.secured.is_none() {
-            let per_ied = self.per_ied_exprs(input, true);
-            let meas = delivery::measurement_exprs(input, &mut self.pool, &per_ied);
-            let lits = observability::encode_observability(
-                input,
-                &mut self.pool,
-                &mut self.enc,
-                &mut self.solver,
-                &meas,
-            );
-            self.secured = Some(lits);
+    fn chain_slot(&mut self, secured: bool) -> &mut Option<ObservabilityLits> {
+        if secured {
+            &mut self.secured
+        } else {
+            &mut self.plain
         }
-        self.secured.as_ref().expect("just built")
     }
 
     /// `D_Z` literals (building the plain chain if needed).
     pub fn delivered_lits(&mut self, input: &AnalysisInput) -> Vec<Lit> {
-        self.plain_chain(input).per_measurement.clone()
+        self.chain(input, false).per_measurement.clone()
     }
 
     /// `S_Z` literals (building the secured chain if needed).
     pub fn secured_lits(&mut self, input: &AnalysisInput) -> Vec<Lit> {
-        self.secured_chain(input).per_measurement.clone()
+        self.chain(input, true).per_measurement.clone()
     }
 
     /// A literal equivalent to the *violation* of the property: the
@@ -442,14 +432,14 @@ impl ModelEncoder {
     /// `~BadDataDetectability(r)`.
     pub fn violation_lit(&mut self, input: &AnalysisInput, property: Property, r: usize) -> Lit {
         match property {
-            Property::Observability => !self.plain_chain(input).observable,
-            Property::SecuredObservability => !self.secured_chain(input).observable,
+            Property::Observability => !self.chain(input, false).observable,
+            Property::SecuredObservability => !self.chain(input, true).observable,
             Property::BadDataDetectability => {
                 if let Some(&l) = self.not_detectable_cache.get(&r) {
                     return l;
                 }
                 if self.baddata.is_none() {
-                    let secured = self.secured_chain(input).per_measurement.clone();
+                    let secured = self.chain(input, true).per_measurement.clone();
                     self.baddata = Some(BadDataEncoding::build(input, &mut self.solver, &secured));
                 }
                 let bd = self.baddata.as_ref().expect("just built");

@@ -16,8 +16,8 @@
 //! violating cannot succeed, and vectors are re-checked with the cheap
 //! direct evaluator before paying for SAT).
 
-use scadasim::paths::forwarding_paths;
-use scadasim::{CryptoAlgorithm, CryptoProfile, DeviceId, DeviceKind};
+use scadasim::paths::{forwarding_paths, security_hops};
+use scadasim::{CryptoAlgorithm, CryptoProfile, DeviceId};
 
 use crate::certify::CertifyOptions;
 use crate::input::AnalysisInput;
@@ -91,20 +91,12 @@ pub fn upgradable_hops(input: &AnalysisInput) -> Vec<Upgrade> {
     let mut seen = std::collections::HashSet::new();
     for ied in input.topology.ieds() {
         for path in forwarding_paths(&input.topology, ied.id(), &input.path_limits) {
-            let hosts: Vec<DeviceId> = path
-                .iter()
-                .copied()
-                .filter(|&d| input.topology.device(d).kind() != DeviceKind::Router)
-                .collect();
-            for w in hosts.windows(2) {
-                let key = (w[0].min(w[1]), w[0].max(w[1]));
-                if seen.contains(&key) {
-                    continue;
-                }
-                seen.insert(key);
-                if !input
-                    .policy
-                    .hop_secured(&input.topology.pair_security(w[0], w[1]))
+            for (a, b) in security_hops(&input.topology, &path) {
+                let key = (a.min(b), a.max(b));
+                if seen.insert(key)
+                    && !input
+                        .policy
+                        .hop_secured(&input.topology.pair_security(a, b))
                 {
                     hops.push(key);
                 }

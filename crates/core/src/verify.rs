@@ -2,6 +2,10 @@
 //!
 //! [`Analyzer`] owns a symbolic model ([`crate::encode::ModelEncoder`])
 //! and a concrete evaluator ([`crate::bruteforce::DirectEvaluator`]).
+//! Both read one forwarding-path table, enumerated once per model
+//! version — on construction and on each [`Analyzer::apply_patch`] —
+//! and shared between them (see the [`crate::bruteforce`] module docs
+//! for why the evaluator stays an independent oracle).
 //! Verification queries are solved incrementally under assumptions; a
 //! `sat` answer yields a threat vector, which is then *minimized* against
 //! the direct evaluator so reported vectors never contain gratuitous
@@ -27,6 +31,7 @@ use scadasim::DeviceId;
 
 use crate::bruteforce::DirectEvaluator;
 use crate::certify::{CertSession, Certificate, CertifyOptions};
+use crate::encode::paths::enumerate_paths;
 use crate::encode::{DeltaStats, EncodingStats, ModelEncoder, SearchOutcome};
 use crate::input::AnalysisInput;
 use crate::obs::{next_query_id, Obs, TraceEvent};
@@ -176,11 +181,12 @@ impl<'a> Analyzer<'a> {
     }
 
     fn build(input: Cow<'a, AnalysisInput>, obs: Obs, certify: CertifyOptions) -> Analyzer<'a> {
-        let (encoder, buffer) = ModelEncoder::new_certified(&input, certify.enabled);
+        let paths = enumerate_paths(&input);
+        let (encoder, buffer) = ModelEncoder::new_certified(&input, paths.clone(), certify.enabled);
         let cert = buffer.map(|b| CertSession::new(b, certify.clone()));
         Analyzer {
             encoder,
-            evaluator: DirectEvaluator::new(&input),
+            evaluator: DirectEvaluator::with_paths(&input, paths),
             input,
             obs,
             certify,
@@ -217,10 +223,12 @@ impl<'a> Analyzer<'a> {
     ///
     /// The patch is validated against the current input first; a
     /// rejected patch leaves the analyzer untouched. On success the
-    /// encoder absorbs the delta ([`ModelEncoder::apply_delta`]): new
-    /// model elements get fresh variables, retired devices are pinned
-    /// available by unit clauses, and only the delivery cones whose
-    /// path sets actually changed are re-encoded on the next query.
+    /// patched model's path table is enumerated once and handed to the
+    /// encoder and to a fresh direct evaluator. The encoder absorbs the
+    /// delta in place: new model elements get fresh variables, retired
+    /// devices are pinned available by unit clauses, and only the
+    /// delivery cones whose path sets actually changed are re-encoded
+    /// on the next query.
     ///
     /// When certification is active, the previous query's proof steps
     /// are flushed through the checker and to disk *before* the
@@ -236,8 +244,9 @@ impl<'a> Analyzer<'a> {
         // The input is swapped in last: if the delta encode panics, the
         // analyzer's input still names the model its solver encodes, so
         // a session worker can rebuild from it consistently.
-        let stats = self.encoder.apply_delta(&next);
-        self.evaluator = DirectEvaluator::new(&next);
+        let paths = enumerate_paths(&next);
+        let stats = self.encoder.apply_delta(&next, paths.clone());
+        self.evaluator = DirectEvaluator::with_paths(&next, paths);
         *self.input.to_mut() = next;
         self.fails_at_zero.clear();
         self.patches += 1;

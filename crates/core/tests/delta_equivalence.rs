@@ -12,6 +12,8 @@
 //! (and their `patch-<n>.drat` file) before the encoder mutates, or
 //! later replays interleave clauses from two encodings.
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 use scada_analyzer::{
     enumerate_threats_with, AnalysisInput, Analyzer, BudgetAxis, CertifyOptions, ModelPatch, Obs,
@@ -151,6 +153,29 @@ proptest! {
         prop_assert_eq!(warm.patches_applied(), applied as u64);
         let mut cold =
             Analyzer::owning(current.clone(), Obs::none(), CertifyOptions::default());
+
+        // The patched session's direct evaluator reads the path table
+        // the patch handed it; it must judge every failure scenario of
+        // size ≤ 1 exactly like the cold evaluator.
+        let scenarios = std::iter::once((HashSet::new(), HashSet::new()))
+            .chain(
+                (0..current.topology.num_devices())
+                    .map(|d| (HashSet::from([DeviceId(d)]), HashSet::new())),
+            )
+            .chain(
+                (0..current.topology.links().len())
+                    .map(|l| (HashSet::new(), HashSet::from([l]))),
+            );
+        for (devices, links) in scenarios {
+            for property in PROPERTIES {
+                prop_assert_eq!(
+                    warm.evaluator().violates_full(property, 1, &devices, &links),
+                    cold.evaluator().violates_full(property, 1, &devices, &links),
+                    "evaluator {:?} diverged on devices {:?}, links {:?} after {} patch(es)",
+                    property, devices, links, applied
+                );
+            }
+        }
 
         for property in PROPERTIES {
             for spec in [

@@ -382,9 +382,15 @@ impl Topology {
         }
         if mtus == 1 && errors.is_empty() {
             // Retired IEDs deliberately have no paths; they are not a
-            // structural error (their failure can never matter).
+            // structural error (their failure can never matter). One
+            // path answers whether any exists; the search order does not
+            // depend on the cap, so this flags what the default would.
+            let first_path = crate::paths::PathLimits {
+                max_paths: 1,
+                ..Default::default()
+            };
             for ied in self.ieds().filter(|d| !d.retired()) {
-                if crate::paths::forwarding_paths(self, ied.id(), &Default::default()).is_empty() {
+                if crate::paths::forwarding_paths(self, ied.id(), &first_path).is_empty() {
                     errors.push(TopologyError::Unreachable(ied.id()));
                 }
             }
