@@ -5,11 +5,11 @@
 //! the single point of trust by making every verdict self-certifying:
 //!
 //! * `sat` (threat) verdicts are re-validated three independent ways —
-//!   the solver's model must satisfy every mirrored original clause
-//!   ([`satcore::check_model`]), it must satisfy the query's budget and
-//!   violation assumptions, and the extracted failure set must both
-//!   honor the device/link budget and genuinely violate the property
-//!   under the concrete [`crate::bruteforce::DirectEvaluator`].
+//!   the solver's model must satisfy every original clause the checker
+//!   holds ([`RupChecker::check_model`]), it must satisfy the query's
+//!   budget and violation assumptions, and the extracted failure set
+//!   must both honor the device/link budget and genuinely violate the
+//!   property under the concrete [`crate::bruteforce::DirectEvaluator`].
 //! * `unsat` (resilient) verdicts carry a DRAT proof emitted by the
 //!   solver and replayed by [`satcore::RupChecker`] — an independent
 //!   propagation engine sharing no code with the solver's BCP — which
@@ -23,7 +23,10 @@
 //! Certification is *incremental*: one [`RupChecker`] per analyzer
 //! audits the whole incremental solving session, consuming each query's
 //! new axioms and proof steps exactly once, so certifying a sweep costs
-//! proportionally to the solving, not quadratically.
+//! proportionally to the solving, not quadratically. The axioms reach
+//! the checker through the solver's proof sink, the same
+//! [`ProofBuffer`] as the proof steps, so the session holds its formula
+//! once in the solver and once in the checker, and nowhere else.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -31,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use satcore::{check_model, HintedProof, LBool, ProofBuffer, ProofStep, RupChecker};
+use satcore::{HintedProof, LBool, ProofBuffer, ProofStep, RupChecker};
 use scadasim::{DeviceId, DeviceKind};
 
 use crate::bruteforce::DirectEvaluator;
@@ -182,8 +185,6 @@ impl CertifyOptions {
 pub(crate) struct CertSession {
     checker: RupChecker,
     buffer: ProofBuffer,
-    /// Mirror clauses consumed so far (the axiom high-water mark).
-    mirrored: usize,
     /// Certifications performed by this session, for unique proof-file
     /// names when several checks share one query id (enumeration spans).
     seq: u64,
@@ -197,7 +198,6 @@ impl CertSession {
         CertSession {
             checker: RupChecker::new(),
             buffer,
-            mirrored: 0,
             seq: 0,
             patches: 0,
             options,
@@ -211,8 +211,8 @@ impl CertSession {
     /// patch ran first, those clause additions would interleave into
     /// the prior query's proof segment and the next `certify` call
     /// would attribute them to the wrong epoch. So the patch *waits on
-    /// the proof flush*: drain the buffered steps and the mirror delta
-    /// into the session checker now, write them to their own
+    /// the proof flush*: drain the buffered axioms and steps into the
+    /// session checker now, write them to their own
     /// `patch-<n>.drat` segment, and only then let the patch touch the
     /// solver.
     ///
@@ -220,14 +220,8 @@ impl CertSession {
     /// definitions are conservative extensions; pin units are new
     /// axioms), so the single incremental checker remains a sound
     /// auditor across the boundary.
-    pub(crate) fn flush_patch_boundary(&mut self, encoder: &ModelEncoder) -> Result<(), String> {
-        let proof = self.buffer.take_hinted();
-        if let Some(mirror) = encoder.solver().mirror() {
-            for clause in &mirror.clauses[self.mirrored.min(mirror.clauses.len())..] {
-                self.checker.add_axiom(clause);
-            }
-            self.mirrored = mirror.clauses.len();
-        }
+    pub(crate) fn flush_patch_boundary(&mut self) -> Result<(), String> {
+        let proof = self.drain();
         if let Err(e) = self.checker.replay(&proof) {
             return Err(format!("proof replay failed at patch boundary: {e}"));
         }
@@ -244,8 +238,18 @@ impl CertSession {
         Ok(())
     }
 
-    /// Certifies one query's verdict, draining the mirror/proof deltas
-    /// accumulated since the previous call.
+    /// Feeds the checker the axioms the solver was handed since the
+    /// last drain, in arrival order (so hint ids naming them resolve),
+    /// and returns the proof steps logged since.
+    fn drain(&mut self) -> HintedProof {
+        for clause in self.buffer.take_axioms().iter() {
+            self.checker.add_axiom(clause);
+        }
+        self.buffer.take_hinted()
+    }
+
+    /// Certifies one query's verdict, draining the axioms and proof
+    /// steps accumulated since the previous call.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn certify(
         &mut self,
@@ -261,7 +265,7 @@ impl CertSession {
     ) -> Certificate {
         let start = Instant::now();
         let before = self.checker.stats();
-        let mut proof = self.buffer.take_hinted();
+        let mut proof = self.drain();
         if self.options.fault == Some(CertFault::CorruptProof) {
             // No hints: nothing vouches for the step, full propagation
             // must reject it.
@@ -333,21 +337,9 @@ impl CertSession {
         violation: Option<(&HashSet<DeviceId>, &HashSet<usize>)>,
         proof: &HintedProof,
     ) -> Certificate {
-        // 1. Feed this query's new axioms (mirrored original clauses),
-        //    then replay its proof steps — every solve learns clauses,
-        //    so this runs for sat, unsat, and unknown alike.
-        let mirror = match encoder.solver().mirror() {
-            Some(m) => m,
-            None => {
-                return Certificate::Failed {
-                    reason: "certification enabled but solver mirror missing".into(),
-                }
-            }
-        };
-        for clause in &mirror.clauses[self.mirrored.min(mirror.clauses.len())..] {
-            self.checker.add_axiom(clause);
-        }
-        self.mirrored = mirror.clauses.len();
+        // 1. Replay this query's proof steps over the drained axioms —
+        //    every solve learns clauses, so this runs for sat, unsat,
+        //    and unknown alike.
         if let Err(e) = self.checker.replay(proof) {
             return Certificate::Failed {
                 reason: format!("proof replay failed: {e}"),
@@ -373,15 +365,15 @@ impl CertSession {
             }
             Verdict::Threat(_) => {
                 // 3. Model checks: the satisfying assignment must
-                //    satisfy every original clause and every assumption
-                //    of this query.
+                //    satisfy every original clause the checker holds
+                //    and every assumption of this query.
                 let mut model = encoder.solver().model_values().to_vec();
                 if self.options.fault == Some(CertFault::CorruptModel) {
                     if let Some(v) = model.iter_mut().find(|v| v.is_defined()) {
                         *v = v.negate();
                     }
                 }
-                if let Err(e) = check_model(mirror, &model) {
+                if let Err(e) = self.checker.check_model(&model) {
                     return Certificate::Failed {
                         reason: format!("model check failed: {e}"),
                     };

@@ -181,9 +181,8 @@ impl ModelEncoder {
 
     /// Like [`ModelEncoder::new`], but when `certify` is set the solver
     /// is armed for certification *before* the first variable or clause
-    /// exists: every original clause is mirrored, and every learnt
-    /// clause, simplification, and deletion streams into the returned
-    /// [`ProofBuffer`]. `paths` must be `input`'s path table.
+    /// exists: every original clause, learnt clause, simplification,
+    /// and deletion streams into the returned [`ProofBuffer`]. `paths` must be `input`'s path table.
     pub(crate) fn new_certified(
         input: &AnalysisInput,
         paths: PathTable,
@@ -194,7 +193,6 @@ impl ModelEncoder {
         let buffer = if certify {
             let buffer = ProofBuffer::new();
             solver.set_proof_sink(Some(Box::new(buffer.clone())));
-            solver.set_clause_mirror(true);
             Some(buffer)
         } else {
             None
@@ -375,7 +373,7 @@ impl ModelEncoder {
         &mut self.solver
     }
 
-    /// Shared access to the underlying solver (mirror, model values).
+    /// Shared access to the underlying solver (model values).
     pub(crate) fn solver(&self) -> &Solver {
         &self.solver
     }

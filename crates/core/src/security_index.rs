@@ -44,8 +44,9 @@
 //! the minimality claim — so under certification it is DRAT-certified:
 //! the solver's proof is replayed by an independent [`RupChecker`] that
 //! must refute the final assumptions, the optimal model is re-checked
-//! against the mirrored clauses, and the extracted attack is re-priced
-//! directly from the measurement list.
+//! against the axioms that checker holds (they reach it through the
+//! solver's proof sink, so the formula is not stored a third time), and
+//! the extracted attack is re-priced directly from the measurement list.
 //!
 //! The SAT engine shares no code with [`powergrid::securityindex`], so
 //! the two agreeing everywhere cross-validates the served answers.
@@ -56,9 +57,7 @@ use std::time::Instant;
 use boolexpr::UnaryCounter;
 use powergrid::securityindex::{min_cut_indices, BranchCut, FlowNode, MinCutIndices};
 use powergrid::{BranchId, BusId, MeasurementId, MeasurementKind, MeasurementSet};
-use satcore::{
-    check_model, CnfSink as _, LBool, Lit, ProofBuffer, ProofStep, RupChecker, SolveResult, Solver,
-};
+use satcore::{CnfSink as _, LBool, Lit, ProofBuffer, ProofStep, RupChecker, SolveResult, Solver};
 
 use crate::certify::{CertFault, Certificate, CertifyOptions};
 
@@ -400,11 +399,10 @@ fn write_flow_file(
 }
 
 /// Incremental certification state: one RUP checker audits the whole
-/// descending-bound session, consuming mirror/proof deltas per query.
+/// descending-bound session, consuming axiom/proof deltas per query.
 struct CertState {
     checker: RupChecker,
     buffer: ProofBuffer,
-    mirrored: usize,
     seq: u64,
     options: CertifyOptions,
 }
@@ -439,12 +437,10 @@ impl SecurityIndexAnalyzer {
         let mut solver = Solver::new();
         let cert = certify.enabled.then(|| {
             let buffer = ProofBuffer::new();
-            solver.set_clause_mirror(true);
             solver.set_proof_sink(Some(Box::new(buffer.clone())));
             CertState {
                 checker: RupChecker::new(),
                 buffer,
-                mirrored: 0,
                 seq: 0,
                 options: certify.clone(),
             }
@@ -694,14 +690,9 @@ impl SecurityIndexAnalyzer {
             proof.insert_unhinted(0, ProofStep::Add(Vec::new()));
         }
         let certificate = (|| {
-            let mirror = self
-                .solver
-                .mirror()
-                .ok_or_else(|| "certification enabled but solver mirror missing".to_string())?;
-            for clause in &mirror.clauses[cert.mirrored.min(mirror.clauses.len())..] {
+            for clause in cert.buffer.take_axioms().iter() {
                 cert.checker.add_axiom(clause);
             }
-            cert.mirrored = mirror.clauses.len();
             cert.checker
                 .replay(&proof)
                 .map_err(|e| format!("proof replay failed: {e}"))?;
@@ -716,7 +707,7 @@ impl SecurityIndexAnalyzer {
                 }
             }
 
-            // The witness half: the optimal model satisfies the mirrored
+            // The witness half: the optimal model satisfies the formula's
             // clauses and the target assumption …
             let mut model = best.model.clone();
             if cert.options.fault == Some(CertFault::CorruptModel) {
@@ -724,7 +715,9 @@ impl SecurityIndexAnalyzer {
                     *v = v.negate();
                 }
             }
-            check_model(mirror, &model).map_err(|e| format!("model check failed: {e}"))?;
+            cert.checker
+                .check_model(&model)
+                .map_err(|e| format!("model check failed: {e}"))?;
             let yt = self.y[target.index()];
             let value = model.get(yt.var().index()).copied().unwrap_or(LBool::Undef);
             if value != LBool::from_bool(yt.is_positive()) {

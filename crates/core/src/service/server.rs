@@ -61,7 +61,7 @@ pub struct ServeOptions {
     /// Tracing; the engine attaches its own metrics registry.
     pub obs: Obs,
     /// Certification policy, fixed for the service lifetime (proof
-    /// mirroring must start at analyzer construction, so it cannot be
+    /// logging must start at analyzer construction, so it cannot be
     /// toggled per request — the cache key still records it).
     pub certify: CertifyOptions,
     /// Root directory the `batch` op may audit. `None` (the default)

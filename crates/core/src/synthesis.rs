@@ -19,7 +19,9 @@
 use scadasim::paths::{forwarding_paths, security_hops};
 use scadasim::{CryptoAlgorithm, CryptoProfile, DeviceId};
 
+use crate::bruteforce::DirectEvaluator;
 use crate::certify::CertifyOptions;
+use crate::encode::paths::enumerate_paths;
 use crate::input::AnalysisInput;
 use crate::obs::{Obs, TraceEvent};
 use crate::spec::{Property, ResiliencySpec};
@@ -253,9 +255,11 @@ fn try_candidate(
     let size = candidate.len();
     obs.count("synth_candidates", 1);
     let upgraded = apply_upgrades(input, candidate, options.upgrade_suite);
+    // One path table serves the pre-check and the SAT check.
+    let paths = enumerate_paths(&upgraded);
     // Cheap pre-check: all known counterexamples must now pass.
     {
-        let eval = crate::bruteforce::DirectEvaluator::new(&upgraded);
+        let eval = DirectEvaluator::with_paths(&upgraded, paths.clone());
         for cx in counterexamples.iter() {
             let failed: std::collections::HashSet<DeviceId> = cx.iter().copied().collect();
             if eval.violates(property, spec.corrupted, &failed) {
@@ -269,7 +273,7 @@ fn try_candidate(
         }
     }
     // Full verification of the candidate.
-    let mut analyzer = Analyzer::with_options(&upgraded, obs.clone(), certify.clone());
+    let mut analyzer = Analyzer::with_paths(&upgraded, paths, obs.clone(), certify.clone());
     let (outcome, result) = match analyzer.verify(property, spec) {
         Verdict::Resilient => (
             "repaired",

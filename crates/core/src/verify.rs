@@ -31,7 +31,7 @@ use scadasim::DeviceId;
 
 use crate::bruteforce::DirectEvaluator;
 use crate::certify::{CertSession, Certificate, CertifyOptions};
-use crate::encode::paths::enumerate_paths;
+use crate::encode::paths::{enumerate_paths, PathTable};
 use crate::encode::{DeltaStats, EncodingStats, ModelEncoder, SearchOutcome};
 use crate::input::AnalysisInput;
 use crate::obs::{next_query_id, Obs, TraceEvent};
@@ -160,8 +160,8 @@ impl<'a> Analyzer<'a> {
     /// certification: every query run through this analyzer emits
     /// trace events and metrics through `obs` ([`Obs::none`] and the
     /// default `certify` make this identical to [`Analyzer::new`]). With
-    /// `certify.enabled`, the solver mirrors every original clause and
-    /// streams a DRAT proof, and each verdict is independently
+    /// `certify.enabled`, the solver streams every original clause and
+    /// a DRAT proof to the session checker, and each verdict is independently
     /// re-checked ([`crate::certify`]); the certificate lands on the
     /// [`VerificationReport`] and in `certify.log`.
     pub fn with_options(
@@ -169,7 +169,18 @@ impl<'a> Analyzer<'a> {
         obs: Obs,
         certify: CertifyOptions,
     ) -> Analyzer<'a> {
-        Analyzer::build(Cow::Borrowed(input), obs, certify)
+        Analyzer::with_paths(input, enumerate_paths(input), obs, certify)
+    }
+
+    /// [`Analyzer::with_options`] over `input`'s already enumerated
+    /// path table.
+    pub(crate) fn with_paths(
+        input: &'a AnalysisInput,
+        paths: PathTable,
+        obs: Obs,
+        certify: CertifyOptions,
+    ) -> Analyzer<'a> {
+        Analyzer::build(Cow::Borrowed(input), paths, obs, certify)
     }
 
     /// Builds an analyzer that owns its input outright. Long-lived
@@ -177,11 +188,16 @@ impl<'a> Analyzer<'a> {
     /// have no caller-side input to borrow from, so they start owned
     /// and the returned analyzer is `'static`.
     pub fn owning(input: AnalysisInput, obs: Obs, certify: CertifyOptions) -> Analyzer<'static> {
-        Analyzer::build(Cow::Owned(input), obs, certify)
+        let paths = enumerate_paths(&input);
+        Analyzer::build(Cow::Owned(input), paths, obs, certify)
     }
 
-    fn build(input: Cow<'a, AnalysisInput>, obs: Obs, certify: CertifyOptions) -> Analyzer<'a> {
-        let paths = enumerate_paths(&input);
+    fn build(
+        input: Cow<'a, AnalysisInput>,
+        paths: PathTable,
+        obs: Obs,
+        certify: CertifyOptions,
+    ) -> Analyzer<'a> {
         let (encoder, buffer) = ModelEncoder::new_certified(&input, paths.clone(), certify.enabled);
         let cert = buffer.map(|b| CertSession::new(b, certify.clone()));
         Analyzer {
@@ -238,8 +254,7 @@ impl<'a> Analyzer<'a> {
     pub fn apply_patch(&mut self, patch: &ModelPatch) -> Result<DeltaStats, PatchError> {
         let next = patch.apply(&self.input)?;
         if let Some(cert) = self.cert.as_mut() {
-            cert.flush_patch_boundary(&self.encoder)
-                .map_err(PatchError::internal)?;
+            cert.flush_patch_boundary().map_err(PatchError::internal)?;
         }
         // The input is swapped in last: if the delta encode panics, the
         // analyzer's input still names the model its solver encodes, so
@@ -306,7 +321,7 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Certifies the verdict of the query that just finished, draining
-    /// the mirror/proof deltas. Returns `None` when certification is
+    /// the axioms and proof steps logged since the previous one. Returns `None` when certification is
     /// disabled. `violation` carries the *full* (pre-minimization)
     /// failure sets extracted from the solver model on `sat` verdicts.
     pub(crate) fn certify_verdict(
@@ -567,5 +582,79 @@ impl<'a> Analyzer<'a> {
             self.encoder.solver_mut().set_progress_hook(None);
         }
         (verdict, attempts, full_violation)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::maxres::BudgetAxis;
+    use scadasim::{generate, ScadaGenConfig};
+
+    /// Queries in the long session.
+    const QUERIES: usize = 216;
+    /// The first sweep: three rounds of verify k = 1..3 plus a
+    /// max-resiliency query, asking for every property, every bad-data
+    /// tolerance and a link budget.
+    const SWEEP: usize = 12;
+
+    /// A warm session's clause arena is bounded by what it holds, not
+    /// by what it ever learnt: learnt-clause reductions leave deleted
+    /// clauses behind, and compaction must reclaim their words.
+    #[test]
+    fn long_session_arena_stays_bounded() {
+        let scada = generate(
+            powergrid::synthetic::ieee_sized(30, 0),
+            &ScadaGenConfig {
+                measurement_density: 1.0,
+                hierarchy_level: 2,
+                secure_fraction: 0.5,
+                seed: 3,
+                ..Default::default()
+            },
+        );
+        let input = AnalysisInput::new(scada.measurements, scada.topology, scada.ied_measurements);
+        let mut analyzer = Analyzer::new(&input);
+        let properties = [
+            Property::Observability,
+            Property::SecuredObservability,
+            Property::BadDataDetectability,
+        ];
+        let axes = [
+            BudgetAxis::Total,
+            BudgetAxis::IedsOnly,
+            BudgetAxis::RtusOnly,
+        ];
+        let (mut sweep_peak, mut peak) = (0, 0);
+        for q in 0..QUERIES {
+            // Alternate verify k = 1..3 with a max-resiliency sweep; the
+            // property, tolerance and link budget cycle with coprime
+            // periods, so later queries keep meeting new combinations.
+            if q % 4 == 3 {
+                let property = properties[q / 12 % 3];
+                analyzer.max_resiliency(property, axes[q / 4 % 3], q / 36 % 3);
+            } else {
+                let spec = ResiliencySpec::total(1 + q % 4)
+                    .with_corrupted(q / 5 % 3)
+                    .with_link_failures(q / 7 % 3);
+                analyzer.verify(properties[q % 3], spec);
+            }
+            let words = analyzer.encoder.solver().arena_words();
+            if q < SWEEP {
+                sweep_peak = sweep_peak.max(words);
+            }
+            peak = peak.max(words);
+        }
+        let stats = analyzer.encoder.solver_stats();
+        assert!(
+            stats.reductions > 0 && stats.compactions > 0,
+            "the session must delete learnt clauses: {stats:?}"
+        );
+        // Without compaction this session ends at 2.7x its first-sweep
+        // peak; with it, at 1.4x.
+        assert!(
+            peak <= 2 * sweep_peak,
+            "arena grew to {peak} words from {sweep_peak} in the first sweep"
+        );
     }
 }

@@ -397,8 +397,8 @@ fn ieee57_battery_replays_hinted_without_fallback() {
 /// cap doubled when a budget reads past it; a device added by a patch
 /// rebuilds them again over the new population. Unsat verdicts after
 /// each rebuild refute assumptions on the *new* counter's outputs while
-/// the old counter's clauses stay in the solver, the mirror and the
-/// checker — they must replay from hints alone, without one fallback.
+/// the old counter's clauses stay in the solver and the checker — they
+/// must replay from hints alone, without one fallback.
 #[test]
 fn counter_rebuilds_mid_session_replay_without_fallback() {
     use powergrid::synthetic::ieee_sized;

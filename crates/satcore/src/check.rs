@@ -2,18 +2,23 @@
 //! replay.
 //!
 //! This module is the trust anchor for the whole pipeline. It shares
-//! **no code** with the solver's propagation: where the CDCL loop uses
-//! an arena-backed watched scheme with blocker literals, phase saving
-//! and conflict analysis woven through it, the checker re-implements
-//! watched unit propagation from scratch over plain `Vec`-of-`Vec`
-//! storage — a deliberately small engine (no blockers, no arena, no
-//! learning) whose entire propagation loop fits on one screen. A
-//! verdict accepted by both engines was derived by two independent
+//! **no code** and no storage type with the solver's propagation: where
+//! the CDCL loop keeps clauses behind headers in a word arena and uses
+//! a watched scheme with blocker literals, phase saving and conflict
+//! analysis woven through it, the checker re-implements watched unit
+//! propagation from scratch — a deliberately small engine (no blockers,
+//! no learning) whose entire propagation loop fits on one screen. Its
+//! clauses sit back to back in one literal vector, found by a per-clause
+//! start offset, so a clause costs no allocation of its own. A verdict
+//! accepted by both engines was derived by two independent
 //! implementations, so a bookkeeping bug in one cannot silently
 //! confirm itself.
 //!
 //! * [`check_model`] validates `sat` verdicts: every original clause
 //!   must contain a literal the model makes true.
+//!   [`RupChecker::check_model`] does the same over the axioms a
+//!   checker holds, so an incremental session needs no second copy of
+//!   its formula.
 //! * [`RupChecker`] validates `unsat` verdicts by replaying a DRAT
 //!   proof: every clause addition must be RUP (its negation leads to a
 //!   conflict by unit propagation over the formula plus earlier
@@ -106,7 +111,15 @@ pub struct CheckStats {
 /// model is accepted only if every clause is satisfied by the assigned
 /// part.
 pub fn check_model(cnf: &Cnf, model: &[LBool]) -> Result<(), CheckError> {
-    for (index, clause) in cnf.clauses.iter().enumerate() {
+    first_falsified(cnf.clauses.iter().map(Vec::as_slice), model)
+}
+
+/// The first of `clauses` that `model` leaves without a true literal.
+fn first_falsified<'a>(
+    clauses: impl Iterator<Item = &'a [Lit]>,
+    model: &[LBool],
+) -> Result<(), CheckError> {
+    for (index, clause) in clauses.enumerate() {
         let satisfied = clause.iter().any(|&l| {
             let v = model.get(l.var().index()).copied().unwrap_or(LBool::Undef);
             v == LBool::from_bool(l.is_positive())
@@ -170,7 +183,15 @@ impl Hasher for KeyHasher {
 }
 
 /// Marker for "no previous clause with this key" in the deletion chain.
-const NO_CLAUSE: usize = usize::MAX;
+const NO_CLAUSE: u32 = u32::MAX;
+
+/// Clause flag: an axiom, whose literals outlive its deletion because
+/// [`RupChecker::check_model`] still reads them.
+const AXIOM: u8 = 1;
+/// Clause flag: it forced a persistent literal, so deletions skip it.
+const LOCKED: u8 = 2;
+/// Clause flag: deleted by a proof step.
+const DELETED: u8 = 4;
 
 /// A run of consecutive arrivals stored at consecutive clause ids.
 #[derive(Debug, Clone, Copy)]
@@ -209,14 +230,14 @@ impl Arrivals {
     }
 
     /// The clause id arrival `ordinal` was stored at, if any.
-    fn resolve(&self, ordinal: u32) -> Option<usize> {
+    fn resolve(&self, ordinal: u32) -> Option<u32> {
         let i = self
             .runs
             .partition_point(|r| r.ordinal <= ordinal)
             .checked_sub(1)?;
         let r = self.runs[i];
         let offset = ordinal - r.ordinal;
-        (offset < r.len).then(|| (r.clause + offset) as usize)
+        (offset < r.len).then(|| r.clause + offset)
     }
 }
 
@@ -244,14 +265,25 @@ enum HintState {
 /// [`refutes`]: RupChecker::refutes
 #[derive(Debug, Default)]
 pub struct RupChecker {
-    /// Clause store; `None` marks a deleted clause. A live clause keeps
-    /// its two watched literals at positions 0 and 1 (clauses that are
-    /// unit, empty, or satisfied at root level are stored unwatched).
-    clauses: Vec<Option<Vec<Lit>>>,
+    /// Every stored clause's literals, back to back. A live clause keeps
+    /// its two watched literals first (clauses that are unit, empty, or
+    /// satisfied at root level are stored unwatched).
+    lits: Vec<Lit>,
+    /// Per clause id: where its literals start in `lits`; they end where
+    /// the next clause's start.
+    starts: Vec<u32>,
+    /// Per clause id: [`AXIOM`], [`LOCKED`] and [`DELETED`] bits. Locked
+    /// clauses forced a persistent literal; deletions of these are
+    /// ignored (the drat-trim convention — every kept clause is one the
+    /// formula already implies, so keeping it is sound).
+    flags: Vec<u8>,
+    /// Literals of deleted lemmas, reclaimed once they are half of
+    /// `lits`.
+    dead: usize,
     /// For each literal code, the clauses currently watching that
     /// literal. Entries for deleted clauses are dropped lazily the next
     /// time traversal meets them.
-    watch: Vec<Vec<usize>>,
+    watch: Vec<Vec<u32>>,
     /// Persistent (level-0) assignment, indexed by variable.
     assign: Vec<LBool>,
     /// Persistent trail, in propagation order.
@@ -259,17 +291,13 @@ pub struct RupChecker {
     /// Propagation queue head: trail literals below this index have had
     /// their watch lists traversed.
     processed: usize,
-    /// Clauses that forced a persistent literal; deletions of these are
-    /// ignored (the drat-trim convention — every kept clause is one the
-    /// formula already implies, so keeping it is sound).
-    locked: Vec<bool>,
     /// Deletion lookup: order-independent clause hash → most recent
     /// clause id with that hash; older same-hash clauses follow via
     /// `chain`. Collisions are resolved by literal-set comparison.
-    by_key: HashMap<u64, usize, BuildHasherDefault<KeyHasher>>,
+    by_key: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
     /// Per clause: previous clause id with the same hash ([`NO_CLAUSE`]
     /// ends the chain).
-    chain: Vec<usize>,
+    chain: Vec<u32>,
     /// Propagation over the formula alone has already hit a conflict —
     /// every clause (including the empty one) is now implied.
     root_conflict: bool,
@@ -278,7 +306,7 @@ pub struct RupChecker {
     /// Resolves [`LEMMA_ID_TAG`]ged hint ids: lemmas in arrival order.
     lemmas: Arrivals,
     /// Scratch for the hinted scan's pending clause ids.
-    scan: Vec<usize>,
+    scan: Vec<u32>,
     stats: CheckStats,
 }
 
@@ -297,6 +325,15 @@ impl RupChecker {
     /// reaches a conflict with no assumptions).
     pub fn root_conflict(&self) -> bool {
         self.root_conflict
+    }
+
+    /// Where clause `ci`'s literals sit in `lits`.
+    fn range(&self, ci: usize) -> std::ops::Range<usize> {
+        let end = self
+            .starts
+            .get(ci + 1)
+            .map_or(self.lits.len(), |&e| e as usize);
+        self.starts[ci] as usize..end
     }
 
     fn ensure_var(&mut self, l: Lit) {
@@ -356,44 +393,37 @@ impl RupChecker {
             }
             let mut i = 0;
             while i < self.watch[fcode].len() {
-                let ci = self.watch[fcode][i];
+                let ci = self.watch[fcode][i] as usize;
                 // Deleted clauses leave stale watch entries; drop them
-                // on contact. Taking the clause out (a pointer move,
-                // not a copy) lets the scan below borrow freely.
-                let Some(mut clause) = self.clauses[ci].take() else {
+                // on contact.
+                if self.flags[ci] & DELETED != 0 {
                     self.watch[fcode].swap_remove(i);
                     continue;
-                };
-                if clause[0] == false_lit {
-                    clause.swap(0, 1);
                 }
-                debug_assert_eq!(clause[1], false_lit, "watched literal mismatch");
-                let other = clause[0];
+                let clause = self.range(ci);
+                let s = clause.start;
+                if self.lits[s] == false_lit {
+                    self.lits.swap(s, s + 1);
+                }
+                debug_assert_eq!(self.lits[s + 1], false_lit, "watched literal mismatch");
+                let other = self.lits[s];
                 if self.value(other) == LBool::True {
-                    self.clauses[ci] = Some(clause);
                     i += 1;
                     continue;
                 }
-                let mut moved = false;
-                for k in 2..clause.len() {
-                    if self.value(clause[k]) != LBool::False {
-                        clause.swap(1, k);
-                        self.watch[clause[1].code()].push(ci);
-                        moved = true;
-                        break;
-                    }
-                }
-                if moved {
-                    self.clauses[ci] = Some(clause);
+                if let Some(k) =
+                    (s + 2..clause.end).find(|&k| self.value(self.lits[k]) != LBool::False)
+                {
+                    self.lits.swap(s + 1, k);
+                    self.watch[self.lits[s + 1].code()].push(ci as u32);
                     self.watch[fcode].swap_remove(i);
                     continue;
                 }
-                self.clauses[ci] = Some(clause);
                 if self.value(other) == LBool::False {
                     return false;
                 }
                 if lock {
-                    self.locked[ci] = true;
+                    self.flags[ci] |= LOCKED;
                 }
                 let asserted = self.assert_lit(other);
                 debug_assert!(asserted, "undef literal cannot conflict");
@@ -461,7 +491,7 @@ impl RupChecker {
     }
 
     /// The clause id a hint names, if that arrival stored a clause.
-    fn resolve(&self, id: u32) -> Option<usize> {
+    fn resolve(&self, id: u32) -> Option<u32> {
         if id & LEMMA_ID_TAG != 0 {
             self.lemmas.resolve(id & !LEMMA_ID_TAG)
         } else {
@@ -470,11 +500,11 @@ impl RupChecker {
     }
 
     fn hint_state(&self, ci: usize) -> HintState {
-        let Some(clause) = self.clauses[ci].as_ref() else {
+        if self.flags[ci] & DELETED != 0 {
             return HintState::Done;
-        };
+        }
         let mut unit = None;
-        for &l in clause {
+        for &l in &self.lits[self.range(ci)] {
             match self.value(l) {
                 LBool::True => return HintState::Done,
                 LBool::False => {}
@@ -500,7 +530,7 @@ impl RupChecker {
             let mut open = 0;
             for k in 0..pending.len() {
                 let ci = pending[k];
-                match self.hint_state(ci) {
+                match self.hint_state(ci as usize) {
                     HintState::Done => {}
                     HintState::Falsified => {
                         conflict = true;
@@ -535,18 +565,17 @@ impl RupChecker {
     /// watches, a falsified one is an immediate root conflict, a unit
     /// asserts its literal, and only genuinely open clauses (two or
     /// more non-false literals) enter the watch lists.
-    fn insert(&mut self, lits: &[Lit]) -> u32 {
+    fn insert(&mut self, lits: &[Lit], flags: u8) -> u32 {
+        let ci = self.starts.len();
+        let start = self.lits.len();
         // Store with duplicate literals removed, so a clause like
         // (u ∨ u ∨ f) cannot end up watching the same literal twice.
         // Deduplication cannot change a clause's semantics.
-        let mut stored: Vec<Lit> = Vec::with_capacity(lits.len());
         for &l in lits {
-            if !stored.contains(&l) {
-                stored.push(l);
-            }
-        }
-        for &l in &stored {
             self.ensure_var(l);
+            if !self.lits[start..].contains(&l) {
+                self.lits.push(l);
+            }
         }
         // Settle scan: satisfied at root, or count the non-false
         // literals, remembering the first two as watch candidates.
@@ -554,8 +583,8 @@ impl RupChecker {
         let mut open = 0usize;
         let mut first: Option<usize> = None;
         let mut second: Option<usize> = None;
-        for (k, &l) in stored.iter().enumerate() {
-            match self.value(l) {
+        for k in start..self.lits.len() {
+            match self.value(self.lits[k]) {
                 LBool::True => {
                     satisfied = true;
                     break;
@@ -576,30 +605,25 @@ impl RupChecker {
             // Move the two watch candidates to the front. `a < b`, so
             // the first swap cannot displace position `b`.
             let (a, b) = (first.expect("two open"), second.expect("two open"));
-            stored.swap(0, a);
-            stored.swap(1, b);
+            self.lits.swap(start, a);
+            self.lits.swap(start + 1, b);
+            self.watch[self.lits[start].code()].push(ci as u32);
+            self.watch[self.lits[start + 1].code()].push(ci as u32);
         }
-        let ci = self.clauses.len();
-        let prev = self
-            .by_key
-            .insert(clause_key(&stored), ci)
-            .unwrap_or(NO_CLAUSE);
+        let key = clause_key(&self.lits[start..]);
+        let prev = self.by_key.insert(key, ci as u32).unwrap_or(NO_CLAUSE);
         self.chain.push(prev);
-        if watchable {
-            self.watch[stored[0].code()].push(ci);
-            self.watch[stored[1].code()].push(ci);
-        }
-        self.clauses.push(Some(stored));
-        self.locked.push(false);
+        self.starts
+            .push(u32::try_from(start).expect("checker holds under 4G literals"));
+        self.flags.push(flags);
         if self.root_conflict || satisfied || watchable {
             return ci as u32;
         }
         match (open, first) {
             (0, _) => self.root_conflict = true,
             (1, Some(k)) => {
-                let u = self.clauses[ci].as_ref().expect("just stored")[k];
-                self.locked[ci] = true;
-                let asserted = self.assert_lit(u);
+                self.flags[ci] |= LOCKED;
+                let asserted = self.assert_lit(self.lits[k]);
                 debug_assert!(asserted);
                 if !self.propagate(true) {
                     self.root_conflict = true;
@@ -613,8 +637,37 @@ impl RupChecker {
     /// Adds an original (axiom) clause, no RUP check. Its arrival
     /// ordinal is its proof id.
     pub fn add_axiom(&mut self, lits: &[Lit]) {
-        let ci = self.insert(lits);
+        let ci = self.insert(lits, AXIOM);
         self.axioms.push(Some(ci));
+    }
+
+    /// Checks that `model` satisfies every axiom added so far — deleted
+    /// ones included, since a proof's deletion does not take a clause
+    /// out of the formula. [`CheckError::FalsifiedClause`] names the
+    /// axiom by arrival ordinal.
+    pub fn check_model(&self, model: &[LBool]) -> Result<(), CheckError> {
+        let ids = self
+            .axioms
+            .runs
+            .iter()
+            .flat_map(|r| r.clause..r.clause + r.len);
+        first_falsified(ids.map(|ci| &self.lits[self.range(ci as usize)]), model)
+    }
+
+    /// Reclaims the literals of deleted lemmas. Clause ids index
+    /// `starts`, so nothing that names a clause moves.
+    fn compact(&mut self) {
+        let mut write = 0;
+        for ci in 0..self.starts.len() {
+            let clause = self.range(ci);
+            self.starts[ci] = write as u32;
+            if self.flags[ci] & (DELETED | AXIOM) != DELETED {
+                self.lits.copy_within(clause.clone(), write);
+                write += clause.len();
+            }
+        }
+        self.lits.truncate(write);
+        self.dead = 0;
     }
 
     /// Applies one proof step: additions must be RUP (checked by full
@@ -661,7 +714,7 @@ impl RupChecker {
                     self.lemmas.push(None);
                     return Err(CheckError::NotRup { step: index });
                 }
-                let ci = self.insert(lits);
+                let ci = self.insert(lits, 0);
                 self.lemmas.push(Some(ci));
                 Ok(())
             }
@@ -673,17 +726,23 @@ impl RupChecker {
                 let key = clause_key(lits);
                 let mut cur = self.by_key.get(&key).copied().unwrap_or(NO_CLAUSE);
                 while cur != NO_CLAUSE {
-                    if !self.locked[cur]
-                        && self.clauses[cur]
-                            .as_ref()
-                            .is_some_and(|c| same_clause(c, lits))
+                    let ci = cur as usize;
+                    let clause = self.range(ci);
+                    if self.flags[ci] & (LOCKED | DELETED) == 0
+                        && same_clause(&self.lits[clause.clone()], lits)
                     {
-                        // Watch entries for `cur` go stale here; the
+                        // Watch entries for `ci` go stale here; the
                         // propagation loop drops them lazily.
-                        self.clauses[cur] = None;
+                        self.flags[ci] |= DELETED;
+                        if self.flags[ci] & AXIOM == 0 {
+                            self.dead += clause.len();
+                            if self.dead * 2 > self.lits.len() {
+                                self.compact();
+                            }
+                        }
                         break;
                     }
-                    cur = self.chain[cur];
+                    cur = self.chain[ci];
                 }
                 Ok(())
             }
@@ -993,6 +1052,44 @@ mod tests {
             hinted.propagations,
             plain.propagations
         );
+    }
+
+    #[test]
+    fn compaction_keeps_ids_and_check_model_reads_deleted_axioms() {
+        // (1∨2)(¬1∨2)(¬2∨3): axioms 0..2.
+        let f = cnf(&[&[1, 2], &[-1, 2], &[-2, 3]]);
+        let mut checker = checker_over(&f);
+        // Lemmas 0..2, each added and deleted: the third deletion makes
+        // dead literals outnumber the live ones and compacts the store.
+        for i in 0..3 {
+            let lemma = vec![lit(2), lit(10 + i), lit(20 + i)];
+            checker.apply(&ProofStep::Add(lemma.clone())).unwrap();
+            checker.apply(&ProofStep::Delete(lemma)).unwrap();
+        }
+        assert_eq!((checker.lits.len(), checker.dead), (6, 0), "compacted");
+        // Axiom and lemma ids still resolve to the right clauses.
+        checker
+            .apply_hinted(&ProofStep::Add(vec![lit(2)]), &[0, 1])
+            .unwrap();
+        checker
+            .apply_hinted(&ProofStep::Add(vec![lit(3)]), &[LEMMA_ID_TAG | 3, 2])
+            .unwrap();
+        assert_eq!((checker.stats().hinted, checker.stats().fallbacks), (2, 0));
+        // A deleted axiom is still part of the formula a model must
+        // satisfy, and errors name axioms by arrival ordinal.
+        checker
+            .apply(&ProofStep::Delete(vec![lit(1), lit(2)]))
+            .unwrap();
+        let (t, f) = (LBool::True, LBool::False);
+        assert_eq!(
+            checker.check_model(&[f, f, t]),
+            Err(CheckError::FalsifiedClause { index: 0 })
+        );
+        assert_eq!(
+            checker.check_model(&[t, f, t]),
+            Err(CheckError::FalsifiedClause { index: 1 })
+        );
+        assert_eq!(checker.check_model(&[f, t, t]), Ok(()));
     }
 
     #[test]

@@ -57,12 +57,11 @@ pub mod proof;
 pub use check::{
     check_hinted_proof, check_model, check_unsat_proof, CheckError, CheckStats, RupChecker,
 };
-pub use clause::{Clause, ClauseRef};
 pub use dimacs::{parse_dimacs, write_dimacs, Cnf, ParseDimacsError};
 pub use lit::{LBool, Lit, Var};
 pub use luby::luby;
 pub use proof::{
-    parse_drat, write_drat, DratWriter, HintedProof, ProofBuffer, ProofSink, ProofStep,
+    parse_drat, write_drat, Axioms, DratWriter, HintedProof, ProofBuffer, ProofSink, ProofStep,
     LEMMA_ID_TAG,
 };
 pub use solver::{CnfSink, SolveResult, Solver, SolverStats};

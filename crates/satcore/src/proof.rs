@@ -13,15 +13,20 @@
 //! (buffered at line boundaries, synced on flush, so an interrupted or
 //! deadline-bounded solve never leaves a torn line behind), and
 //! [`ProofBuffer`] accumulates [`ProofStep`]s in memory for in-process
-//! checking with [`crate::check`].
+//! checking with [`crate::check`]. The solver hands every original
+//! clause to [`ProofSink::add_axiom`] as it arrives; the file sink drops
+//! it, and the buffer keeps it flat in [`Axioms`], so an in-process
+//! checker learns the formula from the sink instead of from a second
+//! copy inside the solver.
 //!
 //! The solver also names each addition's *antecedents*: the proof ids of
 //! the clauses its conflict analysis resolved, in propagation order (the
-//! LRAT idea). An axiom's id is its index among the clauses handed to
-//! the solver; a lemma's id is its ordinal among the emitted additions,
-//! tagged with [`LEMMA_ID_TAG`]. Hints never reach the DRAT text — only
-//! [`ProofBuffer`] keeps them, in a [`HintedProof`], so the in-process
-//! checker can validate a lemma by scanning those clauses alone.
+//! LRAT idea). An axiom's id is its arrival ordinal among the clauses
+//! handed to the solver; a lemma's id is its ordinal among the emitted
+//! additions, tagged with [`LEMMA_ID_TAG`]. Hints never reach the DRAT
+//! text — only [`ProofBuffer`] keeps them, in a [`HintedProof`], so the
+//! in-process checker can validate a lemma by scanning those clauses
+//! alone.
 
 use std::fmt::Write as _;
 use std::fs::File;
@@ -55,6 +60,12 @@ pub const LEMMA_ID_TAG: u32 = 1 << 31;
 ///
 /// [`flush_proof`]: ProofSink::flush_proof
 pub trait ProofSink: Send {
+    /// Receives an original clause, verbatim, as the solver is handed
+    /// it. Axioms are not proof steps, so the default drops them and
+    /// file sinks stay plain DRAT.
+    fn add_axiom(&mut self, lits: &[Lit]) {
+        let _ = lits;
+    }
     /// Records the addition of `lits` (empty slice = the empty clause).
     fn add_clause(&mut self, lits: &[Lit]);
     /// Records the addition of `lits` together with the proof ids of
@@ -245,17 +256,62 @@ impl HintedProof {
     }
 }
 
+/// Original clauses in arrival order, stored flat: one literal buffer
+/// for all of them, so a drained batch costs two allocations however
+/// many clauses it holds.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Axioms {
+    lits: Vec<Lit>,
+    /// Per clause, the end of its literals in `lits`.
+    ends: Vec<u32>,
+}
+
+impl Axioms {
+    fn push(&mut self, lits: &[Lit]) {
+        self.lits.extend_from_slice(lits);
+        let end = u32::try_from(self.lits.len()).expect("an axiom batch holds under 4G literals");
+        self.ends.push(end);
+    }
+
+    /// The clauses, in arrival order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Lit]> + '_ {
+        (0..self.ends.len()).map(|i| {
+            let start = if i == 0 { 0 } else { self.ends[i - 1] };
+            &self.lits[start as usize..self.ends[i] as usize]
+        })
+    }
+
+    /// The number of clauses.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there are no clauses.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+}
+
+/// What a [`ProofBuffer`] holds between drains.
+#[derive(Debug, Default)]
+struct Pending {
+    proof: HintedProof,
+    axioms: Axioms,
+}
+
 /// An in-memory proof sink shared between the solver and a checker.
 ///
 /// Cloning is cheap (the proof is behind an `Arc<Mutex<..>>`), so the
 /// caller can keep one handle and install the other on the solver, then
 /// drain it after each solve to feed an incremental
-/// [`crate::check::RupChecker`]: [`take_hinted`](ProofBuffer::take_hinted)
+/// [`crate::check::RupChecker`]: [`take_axioms`](ProofBuffer::take_axioms)
+/// for the clauses the solver was handed (add them before replaying, so
+/// hints naming them resolve), [`take_hinted`](ProofBuffer::take_hinted)
 /// for hinted replay, [`take_steps`](ProofBuffer::take_steps) for the
 /// plain DRAT steps.
 #[derive(Debug, Clone, Default)]
 pub struct ProofBuffer {
-    proof: Arc<Mutex<HintedProof>>,
+    pending: Arc<Mutex<Pending>>,
 }
 
 impl ProofBuffer {
@@ -273,12 +329,18 @@ impl ProofBuffer {
     /// Drains and returns all steps recorded since the last call, with
     /// their hints.
     pub fn take_hinted(&self) -> HintedProof {
-        std::mem::take(&mut *self.proof.lock().unwrap())
+        std::mem::take(&mut self.pending.lock().unwrap().proof)
+    }
+
+    /// Drains and returns all axioms received since the last call, in
+    /// arrival order.
+    pub fn take_axioms(&self) -> Axioms {
+        std::mem::take(&mut self.pending.lock().unwrap().axioms)
     }
 
     /// The number of steps currently buffered.
     pub fn len(&self) -> usize {
-        self.proof.lock().unwrap().len()
+        self.pending.lock().unwrap().proof.len()
     }
 
     /// Whether no steps are buffered.
@@ -288,22 +350,22 @@ impl ProofBuffer {
 }
 
 impl ProofSink for ProofBuffer {
+    fn add_axiom(&mut self, lits: &[Lit]) {
+        self.pending.lock().unwrap().axioms.push(lits);
+    }
+
     fn add_clause(&mut self, lits: &[Lit]) {
         self.add_clause_hinted(lits, &[]);
     }
 
     fn add_clause_hinted(&mut self, lits: &[Lit], hints: &[u32]) {
-        self.proof
-            .lock()
-            .unwrap()
-            .push(ProofStep::Add(lits.to_vec()), hints);
+        let step = ProofStep::Add(lits.to_vec());
+        self.pending.lock().unwrap().proof.push(step, hints);
     }
 
     fn delete_clause(&mut self, lits: &[Lit]) {
-        self.proof
-            .lock()
-            .unwrap()
-            .push(ProofStep::Delete(lits.to_vec()), &[]);
+        let step = ProofStep::Delete(lits.to_vec());
+        self.pending.lock().unwrap().proof.push(step, &[]);
     }
 }
 
@@ -460,6 +522,26 @@ mod tests {
         assert!(buf.is_empty());
         handle.add_clause(&[]);
         assert_eq!(buf.take_steps(), vec![ProofStep::Add(vec![])]);
+    }
+
+    #[test]
+    fn buffer_keeps_axioms_apart_from_steps() {
+        let buf = ProofBuffer::new();
+        let mut handle = buf.clone();
+        handle.add_axiom(&[lit(1), lit(-2)]);
+        handle.add_clause(&[lit(1)]);
+        handle.add_axiom(&[]);
+        handle.add_axiom(&[lit(3)]);
+        assert_eq!(buf.len(), 1, "axioms are not proof steps");
+        let axioms = buf.take_axioms();
+        let clauses: Vec<&[Lit]> = axioms.iter().collect();
+        assert_eq!(clauses, [&[lit(1), lit(-2)][..], &[], &[lit(3)]]);
+        assert!(buf.take_axioms().is_empty());
+        assert_eq!(buf.take_steps(), vec![ProofStep::Add(vec![lit(1)])]);
+        // File sinks drop axioms: DRAT text holds proof steps only.
+        let mut w = DratWriter::new(Vec::new());
+        w.add_axiom(&[lit(5)]);
+        assert!(w.into_inner().unwrap().is_empty());
     }
 
     #[test]

@@ -13,8 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::clause::{Clause, ClauseDb, ClauseRef, NO_PROOF_ID};
-use crate::dimacs::Cnf;
+use crate::clause::{ClauseDb, ClauseRef, NO_PROOF_ID};
 use crate::heap::VarHeap;
 use crate::lit::{LBool, Lit, Var};
 use crate::proof::{ProofSink, LEMMA_ID_TAG};
@@ -51,6 +50,8 @@ pub struct SolverStats {
     pub learnt_clauses: u64,
     /// Number of learnt-clause database reductions.
     pub reductions: u64,
+    /// Number of clause-arena compactions (deleted clauses reclaimed).
+    pub compactions: u64,
 }
 
 impl SolverStats {
@@ -65,6 +66,7 @@ impl SolverStats {
             restarts: self.restarts.saturating_sub(earlier.restarts),
             learnt_clauses: self.learnt_clauses.saturating_sub(earlier.learnt_clauses),
             reductions: self.reductions.saturating_sub(earlier.reductions),
+            compactions: self.compactions.saturating_sub(earlier.compactions),
         }
     }
 }
@@ -182,7 +184,7 @@ pub struct Solver {
     /// assumption-core) clause is emitted here, additions with hints.
     proof: Option<ProofHook>,
     /// Clauses handed to the solver so far: the next axiom's proof id
-    /// (its mirror index when mirroring is on from the start).
+    /// (its arrival ordinal when the sink is installed from the start).
     axioms_added: u32,
     /// Additions emitted so far: the next lemma's ordinal.
     lemmas_emitted: u32,
@@ -191,10 +193,9 @@ pub struct Solver {
     /// Scratch for conflict analysis: (level, proof id) of the reasons
     /// of literals removed by minimization.
     removed_reasons: Vec<(u32, u32)>,
-    /// Optional verbatim copy of every clause handed to the solver,
-    /// pre-simplification — the formula an independent checker audits
-    /// verdicts against.
-    mirror: Option<Cnf>,
+    /// Scratch for simplifying an added clause and for handing a
+    /// stored clause's literals to the proof sink.
+    lits_scratch: Vec<Lit>,
 }
 
 impl Default for Solver {
@@ -240,40 +241,20 @@ impl Solver {
             lemmas_emitted: 0,
             hints: Vec::new(),
             removed_reasons: Vec::new(),
-            mirror: None,
+            lits_scratch: Vec::new(),
         }
     }
 
     /// Installs a DRAT proof sink (`None` removes it).
     ///
     /// Install it **before adding clauses** so add-time simplifications
-    /// are captured. The sink's [`ProofSink::flush_proof`] is called at
-    /// every exit from a solve call — including deadline, budget, and
+    /// are captured and every clause reaches [`ProofSink::add_axiom`]
+    /// verbatim: the sink's axiom stream is then the whole formula. The
+    /// sink's [`ProofSink::flush_proof`] is called at every exit from a solve call — including deadline, budget, and
     /// interrupt [`SolveResult::Unknown`] exits — so a bounded solve
     /// never leaves an unflushed (torn) proof behind.
     pub fn set_proof_sink(&mut self, sink: Option<Box<dyn ProofSink>>) {
         self.proof = sink.map(ProofHook);
-    }
-
-    /// Enables (or disables) mirroring: every clause subsequently added
-    /// is also recorded verbatim, pre-simplification. Enable it before
-    /// the first clause for the mirror to define the whole formula.
-    pub fn set_clause_mirror(&mut self, enabled: bool) {
-        if enabled && self.mirror.is_none() {
-            self.mirror = Some(Cnf {
-                num_vars: self.assigns.len(),
-                clauses: Vec::new(),
-            });
-        } else if !enabled {
-            self.mirror = None;
-        }
-    }
-
-    /// The mirrored formula, if mirroring is enabled. Grows
-    /// monotonically, so incremental callers can certify query by query
-    /// from a remembered clause index.
-    pub fn mirror(&self) -> Option<&Cnf> {
-        self.mirror.as_ref()
     }
 
     /// Emits an addition whose antecedents are in `self.hints`,
@@ -303,13 +284,45 @@ impl Solver {
     /// id scheme).
     #[inline]
     fn proof_id(&self, cref: ClauseRef) -> u32 {
-        self.db.get(cref).proof_id
+        self.db.proof_id(cref)
     }
 
-    #[inline]
-    fn emit_delete(&mut self, lits: &[Lit]) {
+    /// Deletes a stored clause, emitting the deletion to the proof.
+    fn delete_clause(&mut self, cref: ClauseRef) {
         if let Some(p) = self.proof.as_mut() {
-            p.0.delete_clause(lits);
+            self.lits_scratch.clear();
+            self.lits_scratch.extend(self.db.lits(cref));
+            p.0.delete_clause(&self.lits_scratch);
+        }
+        self.db.delete(cref);
+    }
+
+    /// Reclaims deleted clauses' arena words once they waste enough,
+    /// relocating watches, reasons and `learnts` in their existing
+    /// order, so the search that follows is the same.
+    fn collect_garbage(&mut self) {
+        if !self.db.wants_compaction() {
+            return;
+        }
+        self.stats.compactions += 1;
+        let moved = self.db.compact();
+        for ws in &mut self.watches {
+            ws.retain_mut(|w| match moved.get(w.cref) {
+                Some(to) => {
+                    w.cref = to;
+                    true
+                }
+                None => false,
+            });
+        }
+        for &l in &self.trail {
+            let data = &mut self.var_data[l.var().index()];
+            if let Some(r) = data.reason {
+                data.reason = Some(moved.get(r).expect("reasons are never deleted"));
+            }
+        }
+        for r in &mut self.learnts {
+            *r = moved.get(*r).expect("learnts holds live clauses");
         }
     }
 
@@ -346,6 +359,12 @@ impl Solver {
     /// Number of original (problem) clauses.
     pub fn num_original_clauses(&self) -> usize {
         self.db.num_original
+    }
+
+    /// Words of the clause arena in use, including those of deleted
+    /// clauses not yet reclaimed by a compaction.
+    pub fn arena_words(&self) -> usize {
+        self.db.words()
     }
 
     /// Solver statistics accumulated so far.
@@ -499,43 +518,44 @@ impl Solver {
         debug_assert_eq!(self.decision_level(), 0);
         let axiom_id = self.axioms_added;
         self.axioms_added = self.axioms_added.wrapping_add(1);
-        // Mirror verbatim even when already unsat, so the mirror always
-        // equals the full formula the caller defined.
-        if let Some(mirror) = self.mirror.as_mut() {
-            mirror.clauses.push(lits.to_vec());
+        // Hand the axiom over verbatim even when already unsat, so the
+        // sink's axiom stream always equals the full formula the caller
+        // defined.
+        if let Some(p) = self.proof.as_mut() {
+            p.0.add_axiom(lits);
         }
         if !self.ok {
             return false;
         }
         // Sort + dedup; drop clauses with complementary or true literals,
         // strip false literals.
-        let mut c: Vec<Lit> = lits.to_vec();
+        // Sorted, a tautology's complementary literals are adjacent.
+        let mut c = std::mem::take(&mut self.lits_scratch);
+        c.clear();
+        c.extend_from_slice(lits);
         c.sort_unstable();
         c.dedup();
-        let mut out: Vec<Lit> = Vec::with_capacity(c.len());
-        let mut prev: Option<Lit> = None;
-        for &l in &c {
-            debug_assert!(l.var().index() < self.assigns.len(), "unknown variable");
-            if let Some(p) = prev {
-                if p == !l {
-                    return true; // tautology
-                }
-            }
-            match self.value_lit(l) {
-                LBool::True => return true, // already satisfied at level 0
-                LBool::False => {}          // drop falsified literal
-                LBool::Undef => out.push(l),
-            }
-            prev = Some(l);
-        }
+        debug_assert!(c.iter().all(|l| l.var().index() < self.assigns.len()));
+        let sorted = c.len();
+        let satisfied = c.windows(2).any(|w| w[0] == !w[1])
+            || c.iter().any(|&l| self.value_lit(l) == LBool::True);
+        c.retain(|&l| self.value_lit(l) == LBool::Undef);
+        let ok = satisfied || self.add_simplified(&c, sorted, axiom_id);
+        self.lits_scratch = c;
+        ok
+    }
+
+    /// Stores axiom `axiom_id`, simplified to `out` from `sorted`
+    /// distinct literals.
+    fn add_simplified(&mut self, out: &[Lit], sorted: usize, axiom_id: u32) -> bool {
         // A clause shrunk by level-0 simplification no longer matches
         // what the caller added; emit the shrunk form as a proof step
         // (it is RUP: the stripped literals are all falsified by units
         // the checker has already propagated). Its antecedent is the
         // axiom it shrinks, and it stands for that axiom from now on.
         let mut id = axiom_id;
-        if out.len() < c.len() && !out.is_empty() {
-            id = self.emit_add_from(&out, axiom_id);
+        if out.len() < sorted && !out.is_empty() {
+            id = self.emit_add_from(out, axiom_id);
         }
         match out.len() {
             0 => {
@@ -552,9 +572,7 @@ impl Solver {
                 }
             }
             _ => {
-                let mut clause = Clause::new(out, false);
-                clause.proof_id = id;
-                let cref = self.db.push(clause);
+                let cref = self.db.push(out, false, 0, id);
                 self.attach(cref);
                 true
             }
@@ -562,11 +580,7 @@ impl Solver {
     }
 
     fn attach(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
-            let c = self.db.get(cref);
-            debug_assert!(c.len() >= 2);
-            (c.lits[0], c.lits[1])
-        };
+        let (l0, l1) = (self.db.lit(cref, 0), self.db.lit(cref, 1));
         self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
         self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
     }
@@ -602,18 +616,18 @@ impl Solver {
                     continue;
                 }
                 let cref = w.cref;
-                if self.db.get(cref).deleted {
+                if self.db.is_deleted(cref) {
                     continue; // lazily drop watchers of deleted clauses
                 }
                 // Make sure the falsified literal is at index 1.
-                {
-                    let c = self.db.get_mut(cref);
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
+                let (first, len) = {
+                    let c = self.db.codes_mut(cref);
+                    if c[0] == false_lit.code() as u32 {
+                        c.swap(0, 1);
                     }
-                    debug_assert_eq!(c.lits[1], false_lit);
-                }
-                let first = self.db.get(cref).lits[0];
+                    debug_assert_eq!(c[1], false_lit.code() as u32);
+                    (Lit::from_code(c[0] as usize), c.len())
+                };
                 if first != w.blocker && self.value_lit(first) == LBool::True {
                     ws[j] = Watcher {
                         cref,
@@ -623,12 +637,10 @@ impl Solver {
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.db.get(cref).len();
                 for k in 2..len {
-                    let lk = self.db.get(cref).lits[k];
+                    let lk = self.db.lit(cref, k);
                     if self.value_lit(lk) != LBool::False {
-                        let c = self.db.get_mut(cref);
-                        c.lits.swap(1, k);
+                        self.db.codes_mut(cref).swap(1, k);
                         self.watches[(!lk).code()].push(Watcher {
                             cref,
                             blocker: first,
@@ -701,13 +713,14 @@ impl Solver {
         self.var_inc /= self.var_decay;
     }
 
+    /// Bumps a learnt clause's activity; `cref` must be in `learnts`,
+    /// the clauses a rescale reaches.
     fn clause_bump(&mut self, cref: ClauseRef) {
-        let inc = self.cla_inc;
-        let c = self.db.get_mut(cref);
-        c.activity += inc;
-        if c.activity > 1e20 {
-            for r in 0..self.db.clauses.len() {
-                self.db.clauses[r].activity *= 1e-20;
+        let activity = self.db.activity(cref) + self.cla_inc;
+        self.db.set_activity(cref, activity);
+        if activity > 1e20 {
+            for &r in &self.learnts {
+                self.db.set_activity(r, self.db.activity(r) * 1e-20);
             }
             self.cla_inc *= 1e-20;
         }
@@ -736,13 +749,13 @@ impl Solver {
                 // The conflict, then reasons in descending trail order.
                 self.hints.push(self.proof_id(confl));
             }
-            if self.db.get(confl).learnt {
+            if self.db.is_learnt(confl) {
                 self.clause_bump(confl);
             }
             let start = if p.is_none() { 0 } else { 1 };
-            let n = self.db.get(confl).len();
+            let n = self.db.len(confl);
             for k in start..n {
-                let q = self.db.get(confl).lits[k];
+                let q = self.db.lit(confl, k);
                 let v = q.var();
                 if !self.seen[v.index()] && self.level(v) > 0 {
                     self.seen[v.index()] = true;
@@ -780,13 +793,11 @@ impl Solver {
         let mut keep = vec![true; learnt.len()];
         for (idx, &l) in learnt.iter().enumerate().skip(1) {
             if let Some(r) = self.reason(l.var()) {
-                let mut redundant = true;
-                for &q in &self.db.get(r).lits[1..] {
-                    if !self.seen[q.var().index()] && self.level(q.var()) > 0 {
-                        redundant = false;
-                        break;
-                    }
-                }
+                let redundant = self
+                    .db
+                    .lits(r)
+                    .skip(1)
+                    .all(|q| self.seen[q.var().index()] || self.level(q.var()) == 0);
                 if redundant {
                     keep[idx] = false;
                     if hinting {
@@ -859,23 +870,18 @@ impl Solver {
         }
         lits.swap(1, max_i);
         let lbd = self.lbd_of(&lits);
-        let asserting = lits[0];
-        let mut clause = Clause::new(lits, true);
-        clause.lbd = lbd;
-        clause.proof_id = id;
-        let cref = self.db.push(clause);
+        let cref = self.db.push(&lits, true, lbd, id);
         self.attach(cref);
-        self.clause_bump(cref);
         self.learnts.push(cref);
-        self.unchecked_enqueue(asserting, Some(cref));
+        self.clause_bump(cref);
+        self.unchecked_enqueue(lits[0], Some(cref));
     }
 
     fn is_locked(&self, cref: ClauseRef) -> bool {
-        let c = self.db.get(cref);
-        if c.deleted || c.is_empty() {
+        if self.db.is_deleted(cref) {
             return false;
         }
-        let first = c.lits[0];
+        let first = self.db.lit(cref, 0);
         self.value_lit(first) == LBool::True && self.reason(first.var()) == Some(cref)
     }
 
@@ -888,29 +894,27 @@ impl Solver {
             .iter()
             .copied()
             .filter(|&r| {
-                let c = self.db.get(r);
-                !c.deleted && c.lbd > 2 && c.len() > 2 && !self.is_locked(r)
+                !self.db.is_deleted(r)
+                    && self.db.lbd(r) > 2
+                    && self.db.len(r) > 2
+                    && !self.is_locked(r)
             })
             .collect();
         cands.sort_by(|&a, &b| {
-            let ca = self.db.get(a);
-            let cb = self.db.get(b);
-            cb.lbd.cmp(&ca.lbd).then(
-                ca.activity
-                    .partial_cmp(&cb.activity)
+            let db = &self.db;
+            db.lbd(b).cmp(&db.lbd(a)).then(
+                db.activity(a)
+                    .partial_cmp(&db.activity(b))
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
         let to_remove = cands.len() / 2;
         for &r in cands.iter().take(to_remove) {
-            if self.proof.is_some() {
-                let lits = self.db.get(r).lits.clone();
-                self.emit_delete(&lits);
-            }
-            self.db.delete(r);
+            self.delete_clause(r);
         }
-        self.learnts.retain(|&r| !self.db.get(r).deleted);
+        self.learnts.retain(|&r| !self.db.is_deleted(r));
         self.stats.learnt_clauses = self.db.num_learnt as u64;
+        self.collect_garbage();
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
@@ -952,9 +956,8 @@ impl Solver {
                     if hinting {
                         self.hints.push(self.proof_id(r));
                     }
-                    let n = self.db.get(r).len();
-                    for k in 1..n {
-                        let q = self.db.get(r).lits[k];
+                    for k in 1..self.db.len(r) {
+                        let q = self.db.lit(r, k);
                         if self.level(q.var()) > 0 {
                             self.seen[q.var().index()] = true;
                         }
@@ -1108,35 +1111,23 @@ impl Solver {
         if !self.ok {
             return;
         }
-        let refs: Vec<ClauseRef> = self.db.live_refs().collect();
+        let refs: Vec<ClauseRef> = self.db.refs().collect();
         for r in refs {
-            if self.is_locked(r) {
+            if self.db.is_deleted(r) || self.is_locked(r) {
                 continue;
             }
-            let satisfied = self
-                .db
-                .get(r)
-                .lits
-                .iter()
-                .any(|&l| self.value_lit(l) == LBool::True);
-            if satisfied {
-                if self.proof.is_some() {
-                    let lits = self.db.get(r).lits.clone();
-                    self.emit_delete(&lits);
-                }
-                self.db.delete(r);
+            if self.db.lits(r).any(|l| self.value_lit(l) == LBool::True) {
+                self.delete_clause(r);
             }
         }
-        self.learnts.retain(|&r| !self.db.get(r).deleted);
+        self.learnts.retain(|&r| !self.db.is_deleted(r));
+        self.collect_garbage();
     }
 }
 
 impl CnfSink for Solver {
     fn new_var(&mut self) -> Var {
         let v = Var::from_index(self.assigns.len());
-        if let Some(mirror) = self.mirror.as_mut() {
-            mirror.num_vars = self.assigns.len() + 1;
-        }
         self.assigns.push(LBool::Undef);
         self.var_data.push(VarData {
             reason: None,

@@ -7,13 +7,15 @@
 //! zero fallbacks to full propagation, and the hint-free replay accepts
 //! every proof the hinted one does. The DRAT text round-trip
 //! (`DratWriter` → `parse_drat`) is fuzzed on the same instances, so
-//! the on-disk format is pinned by the same cases CI replays.
+//! the on-disk format is pinned by the same cases CI replays. Every
+//! checker learns the formula from the axiom stream the solver hands
+//! its proof sink.
 
 use proptest::prelude::*;
 use satcore::bruteforce::solve_brute_force;
 use satcore::{
-    check_hinted_proof, check_model, check_unsat_proof, parse_drat, CheckError, Cnf, DratWriter,
-    Lit, ProofBuffer, ProofSink, ProofStep, RupChecker, SolveResult, Solver, Var,
+    check_hinted_proof, check_model, check_unsat_proof, parse_drat, CheckError, Cnf, CnfSink,
+    DratWriter, Lit, ProofBuffer, ProofSink, ProofStep, RupChecker, SolveResult, Solver, Var,
 };
 
 /// Strategy producing a random CNF with up to `max_vars` variables.
@@ -33,16 +35,24 @@ fn arb_cnf(max_vars: usize, max_clauses: usize) -> impl Strategy<Value = Cnf> {
     })
 }
 
-/// Solves `cnf` with proof logging and mirroring armed, returning the
-/// verdict plus everything a certifier needs.
+/// Solves `cnf` with proof logging armed, returning the verdict plus
+/// everything a certifier needs.
 fn solve_certified(cnf: &Cnf) -> (SolveResult, Solver, ProofBuffer) {
     let mut s = Solver::new();
     let buffer = ProofBuffer::new();
     s.set_proof_sink(Some(Box::new(buffer.clone())));
-    s.set_clause_mirror(true);
     cnf.load_into(&mut s);
     let r = s.solve();
     (r, s, buffer)
+}
+
+/// The formula the solver's axiom stream defines: every clause it was
+/// handed since the last drain, over all its variables.
+fn axiom_stream(solver: &Solver, buffer: &ProofBuffer) -> Cnf {
+    Cnf {
+        num_vars: solver.num_vars(),
+        clauses: buffer.take_axioms().iter().map(<[Lit]>::to_vec).collect(),
+    }
 }
 
 /// Strategy producing random 3-CNF at the satisfiability threshold
@@ -79,11 +89,10 @@ proptest! {
         let mut s = Solver::new();
         let buffer = ProofBuffer::new();
         s.set_proof_sink(Some(Box::new(buffer.clone())));
-        s.set_clause_mirror(true);
         let vars = cnf.load_into(&mut s);
         let mut checker = RupChecker::new();
         let mut plain = RupChecker::new();
-        for clause in &cnf.clauses {
+        for clause in buffer.take_axioms().iter() {
             checker.add_axiom(clause);
             plain.add_axiom(clause);
         }
@@ -116,20 +125,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     /// Every verdict agrees with brute force and certifies: sat models
-    /// pass the independent model checker against the *mirrored*
-    /// formula, unsat proofs replay through the RUP checker — hinted
-    /// with no fallback, and hint-free as well.
+    /// pass the independent model checker against the formula of the
+    /// *axiom stream*, unsat proofs replay through the RUP checker —
+    /// hinted with no fallback, and hint-free as well.
     #[test]
     fn verdicts_agree_and_certify(cnf in arb_cnf(8, 40)) {
         let reference = solve_brute_force(&cnf);
         let (verdict, solver, buffer) = solve_certified(&cnf);
-        let mirror = solver.mirror().expect("mirror armed").clone();
-        prop_assert_eq!(&mirror, &cnf, "mirror must reproduce the formula verbatim");
+        let formula = axiom_stream(&solver, &buffer);
+        prop_assert_eq!(&formula, &cnf, "the axiom stream must reproduce the formula verbatim");
         match (reference, verdict) {
             (Some(_), SolveResult::Sat) => {
-                prop_assert_eq!(check_model(&mirror, solver.model_values()), Ok(()));
+                prop_assert_eq!(check_model(&formula, solver.model_values()), Ok(()));
                 let mut checker = RupChecker::new();
-                for clause in &mirror.clauses {
+                for clause in &formula.clauses {
                     checker.add_axiom(clause);
                 }
                 checker.replay(&buffer.take_hinted()).expect("every emitted step is RUP");
@@ -137,11 +146,11 @@ proptest! {
             }
             (None, SolveResult::Unsat) => {
                 let proof = buffer.take_hinted();
-                let stats = check_hinted_proof(&mirror, &proof, &[])
+                let stats = check_hinted_proof(&formula, &proof, &[])
                     .expect("emitted hinted proof must check");
                 prop_assert!(stats.steps as usize == proof.len());
                 prop_assert_eq!(stats.fallbacks, 0, "solver hints must reach a conflict");
-                let plain = check_unsat_proof(&mirror, proof.steps(), &[])
+                let plain = check_unsat_proof(&formula, proof.steps(), &[])
                     .expect("hint-free replay accepts what hinted replay accepts");
                 prop_assert_eq!(plain.steps, stats.steps);
             }
@@ -150,9 +159,10 @@ proptest! {
     }
 
     /// Incremental certification across assumption queries: one
-    /// persistent RUP checker audits a whole session, draining mirror
+    /// persistent RUP checker audits a whole session, draining axiom
     /// and proof deltas after every query (sat solves learn clauses
-    /// too, so their steps must also replay cleanly).
+    /// too, so their steps must also replay cleanly). Models are
+    /// checked against the checker's own axiom store.
     #[test]
     fn incremental_assumption_queries_certify(
         cnf in arb_cnf(7, 25),
@@ -161,11 +171,9 @@ proptest! {
         let mut s = Solver::new();
         let buffer = ProofBuffer::new();
         s.set_proof_sink(Some(Box::new(buffer.clone())));
-        s.set_clause_mirror(true);
         let vars = cnf.load_into(&mut s);
         let mut checker = RupChecker::new();
         let mut plain = RupChecker::new();
-        let mut mirrored = 0usize;
         for pol in &pols {
             let assumptions: Vec<Lit> = pol
                 .iter()
@@ -175,12 +183,10 @@ proptest! {
                 .collect();
             let verdict = s.solve_with_assumptions(&assumptions);
             // Drain this query's axiom and proof deltas into the checker.
-            let mirror = s.mirror().expect("mirror armed");
-            for clause in &mirror.clauses[mirrored..] {
+            for clause in buffer.take_axioms().iter() {
                 checker.add_axiom(clause);
                 plain.add_axiom(clause);
             }
-            mirrored = mirror.clauses.len();
             let proof = buffer.take_hinted();
             checker.replay(&proof).expect("every emitted step is RUP");
             for step in proof.steps() {
@@ -188,7 +194,8 @@ proptest! {
             }
             match verdict {
                 SolveResult::Sat => {
-                    prop_assert_eq!(check_model(mirror, s.model_values()), Ok(()));
+                    prop_assert_eq!(checker.check_model(s.model_values()), Ok(()));
+                    prop_assert_eq!(check_model(&cnf, s.model_values()), Ok(()));
                 }
                 SolveResult::Unsat => {
                     prop_assert!(
@@ -291,4 +298,60 @@ fn corrupted_proof_step_is_rejected() {
             Err(other) => panic!("unexpected error {other:?}"),
         }
     }
+}
+
+/// Pigeonhole `pigeons → pigeons - 1`: unsat, and hard enough for CDCL
+/// to fill and reduce its learnt-clause database many times over.
+fn pigeonhole(pigeons: usize) -> Cnf {
+    let holes = pigeons - 1;
+    let mut cnf = Cnf {
+        num_vars: pigeons * holes,
+        clauses: Vec::new(),
+    };
+    let v = |p: usize, h: usize| Var::from_index(p * holes + h);
+    for p in 0..pigeons {
+        cnf.clauses
+            .push((0..holes).map(|h| v(p, h).positive()).collect());
+    }
+    for h in 0..holes {
+        for p1 in 0..pigeons {
+            for p2 in (p1 + 1)..pigeons {
+                cnf.clauses
+                    .push(vec![v(p1, h).negative(), v(p2, h).negative()]);
+            }
+        }
+    }
+    cnf
+}
+
+/// Learnt-clause reductions and arena compactions under proof logging:
+/// the deletions they emit and the clauses compaction moves must leave
+/// every hint resolvable, so the proof replays hinted with no fallback
+/// and refutes the formula.
+#[test]
+fn reduction_and_compaction_keep_the_proof_hinted() {
+    let cnf = pigeonhole(9);
+    let (verdict, solver, buffer) = solve_certified(&cnf);
+    assert_eq!(verdict, SolveResult::Unsat);
+    let stats = solver.stats();
+    assert!(
+        stats.reductions >= 3 && stats.compactions >= 1,
+        "PHP(9,8) must reduce and compact: {stats:?}"
+    );
+    let mut checker = RupChecker::new();
+    for clause in buffer.take_axioms().iter() {
+        checker.add_axiom(clause);
+    }
+    let proof = buffer.take_hinted();
+    assert!(proof
+        .steps()
+        .iter()
+        .any(|step| matches!(step, ProofStep::Delete(_))));
+    checker.replay(&proof).expect("every emitted step is RUP");
+    assert_eq!(
+        checker.stats().fallbacks,
+        0,
+        "solver hints must reach a conflict"
+    );
+    assert!(checker.refutes(&[]));
 }
