@@ -204,8 +204,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     match std::env::var("SCADA_CERTIFY_FAULT").ok().as_deref() {
         Some("proof") => ctx.certify.fault = Some(CertFault::CorruptProof),
         Some("model") => ctx.certify.fault = Some(CertFault::CorruptModel),
+        Some("checker") => ctx.certify.fault = Some(CertFault::CheckerPanic),
         Some(other) if !other.is_empty() => {
-            return Err(format!("bad SCADA_CERTIFY_FAULT `{other}` (proof|model)"));
+            return Err(format!(
+                "bad SCADA_CERTIFY_FAULT `{other}` (proof|model|checker)"
+            ));
         }
         _ => {}
     }

@@ -23,24 +23,39 @@
 //! Certification is *incremental*: one [`RupChecker`] per analyzer
 //! audits the whole incremental solving session, consuming each query's
 //! new axioms and proof steps exactly once, so certifying a sweep costs
-//! proportionally to the solving, not quadratically. The axioms reach
-//! the checker through the solver's proof sink, the same
-//! [`ProofBuffer`] as the proof steps, so the session holds its formula
-//! once in the solver and once in the checker, and nowhere else.
+//! proportionally to the solving, not quadratically. The checker runs
+//! on its own thread beside the solver: the solver's [`ChunkSink`]
+//! streams axioms and hinted steps to it in flat chunks over a bounded
+//! channel while the solve runs, so a query's reply waits only for the
+//! checker to finish that query's tail and its final check. The chunks
+//! arrive in the order a checker draining a [`satcore::ProofBuffer`]
+//! after each query applies them (a solve's axioms, then its steps), so
+//! the checker's work, counters and verdicts are those of a serial
+//! checker; the pipeline only moves them off the solver's thread. A
+//! verdict is still released only once the independent engine has
+//! accepted it, and a checker thread that panics or stops fails the
+//! certificate. The session holds its formula once in the solver and
+//! once in the checker, and nowhere else; the thread starts with the
+//! analyzer and is joined when it drops.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use satcore::{HintedProof, LBool, ProofBuffer, ProofStep, RupChecker};
+use satcore::{
+    CheckError, CheckStats, ChunkRecord, ChunkSink, LBool, Lit, ProofChunk, ProofStep, RupChecker,
+};
 use scadasim::{DeviceId, DeviceKind};
 
 use crate::bruteforce::DirectEvaluator;
 use crate::encode::ModelEncoder;
 use crate::input::AnalysisInput;
 use crate::obs::{Obs, TraceEvent};
+use crate::pool::panic_message;
 use crate::spec::{FailureBudget, Property, ResiliencySpec};
 use crate::verify::Verdict;
 
@@ -53,7 +68,9 @@ pub enum Certificate {
         /// Proof steps drained into the session checker for this query
         /// (sat solves learn clauses too; they must replay cleanly).
         steps: u64,
-        /// Wall-clock time spent certifying.
+        /// Time spent certifying: the checker's work on the query plus
+        /// the re-checks on the solver's thread. Most of it runs beside
+        /// the solve, so it is not added to the query's wall time.
         elapsed: Duration,
     },
     /// An `unsat` verdict backed by a replayed DRAT proof that refutes
@@ -65,7 +82,7 @@ pub enum Certificate {
         steps: u64,
         /// Checker propagations spent on this query.
         propagations: u64,
-        /// Wall-clock time spent certifying.
+        /// Time spent certifying, as for [`Certificate::Threat`].
         elapsed: Duration,
     },
     /// An `Unknown` verdict: nothing is claimed, so nothing is checked
@@ -98,6 +115,9 @@ pub enum CertFault {
     /// Flips one assigned variable of each sat model, which the model
     /// checker must reject.
     CorruptModel,
+    /// Panics the checker thread at the end of the first query, which
+    /// must fail that query's certificate and every later one.
+    CheckerPanic,
 }
 
 /// Shared tally of certification outcomes across an analysis run
@@ -179,41 +199,351 @@ impl CertifyOptions {
     }
 }
 
-/// The per-analyzer certification state: one incremental RUP checker
-/// auditing the analyzer's whole solving session.
-#[derive(Debug)]
-pub(crate) struct CertSession {
-    checker: RupChecker,
-    buffer: ProofBuffer,
-    /// Certifications performed by this session, for unique proof-file
-    /// names when several checks share one query id (enumeration spans).
-    seq: u64,
-    /// Patch boundaries flushed so far, naming `patch-<n>.drat` files.
-    patches: u64,
-    options: CertifyOptions,
+/// Entries (records, literals and hints) per chunk the certified sink
+/// hands the checker thread: about 400 axioms or 20 hinted lemmas, so a
+/// hand-off is rare next to the work it carries, and the checker
+/// replays a lemma soon after the solver learns it.
+pub(crate) const CHUNK_ENTRIES: usize = 2048;
+
+/// Chunks in flight to the checker thread (under 1 MiB). A full channel
+/// stalls the solver until the checker catches up, so the heap stays
+/// flat.
+const CHUNKS_IN_FLIGHT: usize = 64;
+
+/// Spent chunks waiting to be refilled by the solver's sink; the
+/// checker frees any beyond these.
+const SPARE_CHUNKS: usize = 4;
+
+/// What the solver's thread sends its checker thread, in order.
+enum ToChecker {
+    /// Axioms and proof steps, in the order the checker applies them.
+    Chunk(ProofChunk),
+    /// A query's window ends: apply what is held, run the final check
+    /// and write the query's proof file.
+    Query { query: u64, check: FinalCheck },
+    /// A patch boundary ends the window: apply what is held and write
+    /// its `patch-<n>.drat` segment.
+    Patch,
+    /// The session is dropping.
+    Stop,
 }
 
-impl CertSession {
-    pub(crate) fn new(buffer: ProofBuffer, options: CertifyOptions) -> CertSession {
-        CertSession {
-            checker: RupChecker::new(),
-            buffer,
-            seq: 0,
-            patches: 0,
-            options,
+/// The check a verdict needs on the checker's clause store.
+enum FinalCheck {
+    /// `Unknown`: nothing is claimed.
+    Nothing,
+    /// `unsat`: asserting these assumptions must propagate to conflict.
+    Refute(Vec<Lit>),
+    /// `sat`: the model must satisfy every axiom.
+    Model(Vec<LBool>),
+}
+
+/// The checker thread's answer at the end of a window.
+struct WindowReply {
+    /// Replay and final check.
+    checked: Result<(), String>,
+    /// Writing the window's proof file.
+    written: Result<(), String>,
+    /// Checker counters after the window.
+    stats: CheckStats,
+    /// Time the checker spent on the window.
+    busy: Duration,
+}
+
+/// The checker thread's state: the session's one incremental
+/// [`RupChecker`] and the window being replayed.
+struct Replayer {
+    checker: RupChecker,
+    fault: Option<CertFault>,
+    proof_dir: Option<PathBuf>,
+    /// The window's proof steps as DRAT text, when proof files are
+    /// written.
+    drat: String,
+    /// Under [`CertFault::CorruptProof`], the window's step chunks, held
+    /// until its end says whether it is a query (whose proof gets the
+    /// corrupt step first) or a patch boundary (whose proof does not).
+    held: Vec<ProofChunk>,
+    /// The window's rejected step; its later steps are skipped.
+    failed: Option<CheckError>,
+    busy: Duration,
+    /// Queries certified, for unique proof-file names when several
+    /// checks share one query id (enumeration spans).
+    seq: u64,
+    /// Patch boundaries passed, naming `patch-<n>.drat` files.
+    patches: u64,
+    #[cfg(test)]
+    _alive: Arc<()>,
+}
+
+impl Replayer {
+    fn run(
+        mut self,
+        rx: Receiver<ToChecker>,
+        replies: Sender<WindowReply>,
+        spent: SyncSender<ProofChunk>,
+    ) {
+        while let Ok(message) = rx.recv() {
+            let start = Instant::now();
+            let (checked, written) = match message {
+                ToChecker::Chunk(chunk) => {
+                    if let Some(chunk) = self.ingest(chunk) {
+                        let _ = spent.try_send(chunk);
+                    }
+                    self.busy += start.elapsed();
+                    continue;
+                }
+                ToChecker::Query { query, check } => self.end_query(query, check),
+                ToChecker::Patch => self.end_patch(),
+                ToChecker::Stop => return,
+            };
+            self.busy += start.elapsed();
+            let reply = WindowReply {
+                checked,
+                written,
+                stats: self.checker.stats(),
+                busy: std::mem::take(&mut self.busy),
+            };
+            if replies.send(reply).is_err() {
+                return;
+            }
         }
     }
 
-    /// Flushes the certification pipeline at a model-patch boundary.
+    /// Applies (or, under [`CertFault::CorruptProof`], holds) a chunk;
+    /// returns it once spent.
+    fn ingest(&mut self, chunk: ProofChunk) -> Option<ProofChunk> {
+        if self.proof_dir.is_some() {
+            chunk.write_drat_steps(&mut self.drat);
+        }
+        if self.fault == Some(CertFault::CorruptProof) {
+            for record in chunk.iter() {
+                if let ChunkRecord::Axiom(lits) = record {
+                    self.checker.add_axiom(lits);
+                }
+            }
+            if chunk.has_steps() {
+                self.held.push(chunk);
+                return None;
+            }
+        } else {
+            self.replay(&chunk, true);
+        }
+        Some(chunk)
+    }
+
+    /// Applies `chunk` in order (its axioms only when `axioms`), skipping
+    /// the steps after the window's first rejected one.
+    fn replay(&mut self, chunk: &ProofChunk, axioms: bool) {
+        for record in chunk.iter() {
+            match record {
+                ChunkRecord::Axiom(lits) if axioms => self.checker.add_axiom(lits),
+                ChunkRecord::Axiom(_) => {}
+                step if self.failed.is_none() => {
+                    self.failed = self.checker.apply_record(step).err();
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn replay_held(&mut self) {
+        for chunk in std::mem::take(&mut self.held) {
+            self.replay(&chunk, false);
+        }
+    }
+
+    fn end_query(
+        &mut self,
+        query: u64,
+        check: FinalCheck,
+    ) -> (Result<(), String>, Result<(), String>) {
+        if self.fault == Some(CertFault::CheckerPanic) {
+            panic!("injected checker fault at query {query}");
+        }
+        if self.fault == Some(CertFault::CorruptProof) {
+            // No hints: nothing vouches for the step, full propagation
+            // must reject it.
+            self.failed = self
+                .checker
+                .apply_hinted(&ProofStep::Add(Vec::new()), &[])
+                .err();
+            self.replay_held();
+            if self.proof_dir.is_some() {
+                self.drat.insert_str(0, "0\n");
+            }
+        }
+        let checked = match self.failed.take() {
+            Some(e) => Err(format!("proof replay failed: {e}")),
+            None => match check {
+                FinalCheck::Nothing => Ok(()),
+                // The proof must refute this query's assumptions:
+                // asserting them over formula + replayed lemmas must
+                // propagate to a conflict in the independent engine.
+                FinalCheck::Refute(assumptions) => {
+                    if self.checker.refutes(&assumptions) {
+                        Ok(())
+                    } else {
+                        Err("proof does not refute the query's assumptions".into())
+                    }
+                }
+                FinalCheck::Model(model) => self
+                    .checker
+                    .check_model(&model)
+                    .map_err(|e| format!("model check failed: {e}")),
+            },
+        };
+        let seq = self.seq;
+        self.seq += 1;
+        let written = self.write_proof(|| format!("query-{query:05}-{seq:04}.drat"));
+        (checked, written)
+    }
+
+    fn end_patch(&mut self) -> (Result<(), String>, Result<(), String>) {
+        self.replay_held();
+        if let Some(e) = self.failed.take() {
+            self.drat.clear();
+            return (
+                Err(format!("proof replay failed at patch boundary: {e}")),
+                Ok(()),
+            );
+        }
+        let n = self.patches;
+        self.patches += 1;
+        (Ok(()), self.write_proof(|| format!("patch-{n:04}.drat")))
+    }
+
+    /// Writes the window's DRAT text to `<proof_dir>/<name>`, if proof
+    /// files are written.
+    fn write_proof(&mut self, name: impl FnOnce() -> String) -> Result<(), String> {
+        let Some(dir) = self.proof_dir.as_ref() else {
+            return Ok(());
+        };
+        let path = dir.join(name());
+        let written = std::fs::write(&path, self.drat.as_bytes())
+            .map_err(|e| format!("writing proof file {}: {e}", path.display()));
+        self.drat.clear();
+        written
+    }
+}
+
+/// The per-analyzer certification state: a checker thread running the
+/// analyzer's one incremental RUP checker beside its solver.
+///
+/// The solver's [`ChunkSink`] streams every axiom and proof step to the
+/// thread over a bounded channel while the solver runs, in the order a
+/// serial checker draining a [`satcore::ProofBuffer`] after each query
+/// would apply them, so the thread replays each query's proof while it
+/// is still being found. A window (a query, or the steps before a model
+/// patch) ends with a marker; the reply waits only for the checker to
+/// finish that window's tail and its final check.
+#[derive(Debug)]
+pub(crate) struct CertSession {
+    tx: SyncSender<ToChecker>,
+    replies: Receiver<WindowReply>,
+    handle: Option<JoinHandle<()>>,
+    /// Checker counters after the last window, for per-query deltas.
+    stats: CheckStats,
+    /// Why the checker thread is gone, once it is.
+    stopped: Option<String>,
+    options: CertifyOptions,
+    #[cfg(test)]
+    alive: std::sync::Weak<()>,
+}
+
+impl CertSession {
+    /// Starts the checker thread. The returned sink feeds it in chunks
+    /// of `entries` entries; install it on the session's solver before
+    /// the first clause.
+    pub(crate) fn start(options: CertifyOptions, entries: usize) -> (CertSession, ChunkSink) {
+        let (tx, rx) = mpsc::sync_channel(CHUNKS_IN_FLIGHT);
+        let (reply_tx, replies) = mpsc::channel();
+        let (spent_tx, spent) = mpsc::sync_channel(SPARE_CHUNKS);
+        #[cfg(test)]
+        let alive = Arc::new(());
+        let replayer = Replayer {
+            checker: RupChecker::new(),
+            fault: options.fault,
+            proof_dir: options.proof_dir.clone(),
+            drat: String::new(),
+            held: Vec::new(),
+            failed: None,
+            busy: Duration::ZERO,
+            seq: 0,
+            patches: 0,
+            #[cfg(test)]
+            _alive: alive.clone(),
+        };
+        let spawned = std::thread::Builder::new()
+            .name("scada-checker".into())
+            .spawn(move || replayer.run(rx, reply_tx, spent_tx));
+        let (handle, stopped) = match spawned {
+            Ok(handle) => (Some(handle), None),
+            Err(e) => (
+                None,
+                Some(format!("could not start the proof checker thread: {e}")),
+            ),
+        };
+        let chunks = tx.clone();
+        let sink = ChunkSink::new(entries, move |chunk| {
+            // A stopped checker is reported at the window's end.
+            let _ = chunks.send(ToChecker::Chunk(chunk));
+            spent.try_recv().unwrap_or_default()
+        });
+        let session = CertSession {
+            tx,
+            replies,
+            handle,
+            stats: CheckStats::default(),
+            stopped,
+            options,
+            #[cfg(test)]
+            alive: Arc::downgrade(&alive),
+        };
+        (session, sink)
+    }
+
+    /// Sends a window's end marker.
+    fn send(&mut self, message: ToChecker) -> Result<(), String> {
+        match &self.stopped {
+            Some(reason) => Err(reason.clone()),
+            None => self.tx.send(message).map_err(|_| self.checker_stopped()),
+        }
+    }
+
+    /// Waits for the checker's answer on the window just ended.
+    fn reply(&mut self) -> Result<WindowReply, String> {
+        let reply = self.replies.recv().map_err(|_| self.checker_stopped())?;
+        self.stats = reply.stats;
+        Ok(reply)
+    }
+
+    /// Joins the checker thread once its channel has closed early and
+    /// returns (and remembers) why it stopped.
+    fn checker_stopped(&mut self) -> String {
+        if let Some(reason) = &self.stopped {
+            return reason.clone();
+        }
+        let reason = match self.handle.take().map(JoinHandle::join) {
+            Some(Err(payload)) => format!(
+                "proof checker thread panicked: {}",
+                panic_message(&*payload)
+            ),
+            _ => "proof checker thread stopped early".to_string(),
+        };
+        self.stopped = Some(reason.clone());
+        reason
+    }
+
+    /// Ends the certification window at a model-patch boundary.
     ///
     /// A patch mutates the encoder (new axioms, pin units) while the
-    /// previous query's proof steps may still sit in the buffer; if the
-    /// patch ran first, those clause additions would interleave into
-    /// the prior query's proof segment and the next `certify` call
+    /// previous query's proof steps may still be on their way to the
+    /// checker; if the patch ran first, its clause additions would
+    /// interleave into the prior window and the next `certify` call
     /// would attribute them to the wrong epoch. So the patch *waits on
-    /// the proof flush*: drain the buffered axioms and steps into the
-    /// session checker now, write them to their own
-    /// `patch-<n>.drat` segment, and only then let the patch touch the
+    /// the checker*: the caller flushes the solver's proof sink, the
+    /// checker applies everything sent so far and writes it to its own
+    /// `patch-<n>.drat` segment, and only then may the patch touch the
     /// solver.
     ///
     /// Soundness: patches only ever *add* clauses (stale delivery
@@ -221,35 +551,14 @@ impl CertSession {
     /// axioms), so the single incremental checker remains a sound
     /// auditor across the boundary.
     pub(crate) fn flush_patch_boundary(&mut self) -> Result<(), String> {
-        let proof = self.drain();
-        if let Err(e) = self.checker.replay(&proof) {
-            return Err(format!("proof replay failed at patch boundary: {e}"));
-        }
-        let n = self.patches;
-        self.patches += 1;
-        if let Some(dir) = self.options.proof_dir.as_ref() {
-            let path = dir.join(format!("patch-{n:04}.drat"));
-            let mut bytes = Vec::new();
-            satcore::write_drat(proof.steps(), &mut bytes)
-                .map_err(|e| format!("serializing patch-boundary proof segment: {e}"))?;
-            std::fs::write(&path, bytes)
-                .map_err(|e| format!("writing proof file {}: {e}", path.display()))?;
-        }
-        Ok(())
+        self.send(ToChecker::Patch)?;
+        let reply = self.reply()?;
+        reply.checked.and(reply.written)
     }
 
-    /// Feeds the checker the axioms the solver was handed since the
-    /// last drain, in arrival order (so hint ids naming them resolve),
-    /// and returns the proof steps logged since.
-    fn drain(&mut self) -> HintedProof {
-        for clause in self.buffer.take_axioms().iter() {
-            self.checker.add_axiom(clause);
-        }
-        self.buffer.take_hinted()
-    }
-
-    /// Certifies one query's verdict, draining the axioms and proof
-    /// steps accumulated since the previous call.
+    /// Certifies one query's verdict: ends the query's window (the
+    /// caller has flushed the solver's proof sink) and waits for the
+    /// checker's replay and final check.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn certify(
         &mut self,
@@ -264,40 +573,57 @@ impl CertSession {
         obs: &Obs,
     ) -> Certificate {
         let start = Instant::now();
-        let before = self.checker.stats();
-        let mut proof = self.drain();
-        if self.options.fault == Some(CertFault::CorruptProof) {
-            // No hints: nothing vouches for the step, full propagation
-            // must reject it.
-            proof.insert_unhinted(0, ProofStep::Add(Vec::new()));
-        }
-        let seq = self.seq;
-        self.seq += 1;
-        let certificate = self.check(
-            encoder, evaluator, input, property, spec, verdict, violation, &proof,
-        );
-        let certificate = match (
-            certificate,
-            self.write_proof_file(query, seq, proof.steps()),
-        ) {
-            (Certificate::Failed { reason }, _) => Certificate::Failed { reason },
-            (_, Err(reason)) => Certificate::Failed { reason },
-            (ok, Ok(())) => ok,
+        let before = self.stats;
+        // The checks that need no clause store run here while the
+        // checker works through the query's chunks still in flight.
+        let (check, local) = match verdict {
+            Verdict::Unknown { .. } => (FinalCheck::Nothing, Ok(())),
+            Verdict::Resilient => (
+                FinalCheck::Refute(encoder.last_assumptions().to_vec()),
+                Ok(()),
+            ),
+            Verdict::Threat(_) => {
+                let mut model = encoder.solver().model_values().to_vec();
+                if self.options.fault == Some(CertFault::CorruptModel) {
+                    if let Some(v) = model.iter_mut().find(|v| v.is_defined()) {
+                        *v = v.negate();
+                    }
+                }
+                let local = threat_checks(
+                    encoder.last_assumptions(),
+                    &model,
+                    evaluator,
+                    input,
+                    property,
+                    spec,
+                    violation,
+                );
+                (FinalCheck::Model(model), local)
+            }
         };
-        let delta_steps = self.checker.stats().steps - before.steps;
-        let fallbacks = self.checker.stats().fallbacks - before.fallbacks;
-        let elapsed = start.elapsed();
-        let certificate = match certificate {
-            Certificate::Threat { .. } => Certificate::Threat {
+        let local_time = start.elapsed();
+        let sent = self.send(ToChecker::Query { query, check });
+        let (outcome, busy) = match sent.and_then(|()| self.reply()) {
+            Ok(reply) => (reply.checked.and(local).and(reply.written), reply.busy),
+            Err(reason) => (Err(reason), Duration::ZERO),
+        };
+        let delta_steps = self.stats.steps - before.steps;
+        let fallbacks = self.stats.fallbacks - before.fallbacks;
+        // The checker's work on the query plus the checks run here, not
+        // the time spent waiting for the checker.
+        let elapsed = busy + local_time;
+        let certificate = match (outcome, verdict) {
+            (Err(reason), _) => Certificate::Failed { reason },
+            (Ok(()), Verdict::Unknown { .. }) => Certificate::Unchecked,
+            (Ok(()), Verdict::Resilient) => Certificate::Proof {
+                steps: delta_steps,
+                propagations: self.stats.propagations - before.propagations,
+                elapsed,
+            },
+            (Ok(()), Verdict::Threat(_)) => Certificate::Threat {
                 steps: delta_steps,
                 elapsed,
             },
-            Certificate::Proof { .. } => Certificate::Proof {
-                steps: delta_steps,
-                propagations: self.checker.stats().propagations - before.propagations,
-                elapsed,
-            },
-            other => other,
         };
         self.options.log.record(&certificate);
         obs.trace(|| TraceEvent::Certified {
@@ -323,106 +649,59 @@ impl CertSession {
         certificate
     }
 
-    /// The actual checking, returning placeholder step/time counts that
-    /// [`CertSession::certify`] fills in.
-    #[allow(clippy::too_many_arguments)]
-    fn check(
-        &mut self,
-        encoder: &ModelEncoder,
-        evaluator: &DirectEvaluator,
-        input: &AnalysisInput,
-        property: Property,
-        spec: ResiliencySpec,
-        verdict: &Verdict,
-        violation: Option<(&HashSet<DeviceId>, &HashSet<usize>)>,
-        proof: &HintedProof,
-    ) -> Certificate {
-        // 1. Replay this query's proof steps over the drained axioms —
-        //    every solve learns clauses, so this runs for sat, unsat,
-        //    and unknown alike.
-        if let Err(e) = self.checker.replay(proof) {
-            return Certificate::Failed {
-                reason: format!("proof replay failed: {e}"),
-            };
-        }
-
-        match verdict {
-            Verdict::Unknown { .. } => Certificate::Unchecked,
-            Verdict::Resilient => {
-                // 2. The proof must refute this query's assumptions:
-                //    asserting them over formula + replayed lemmas must
-                //    propagate to a conflict in the independent engine.
-                if !self.checker.refutes(encoder.last_assumptions()) {
-                    return Certificate::Failed {
-                        reason: "proof does not refute the query's assumptions".into(),
-                    };
-                }
-                Certificate::Proof {
-                    steps: 0,
-                    propagations: 0,
-                    elapsed: Duration::ZERO,
-                }
-            }
-            Verdict::Threat(_) => {
-                // 3. Model checks: the satisfying assignment must
-                //    satisfy every original clause the checker holds
-                //    and every assumption of this query.
-                let mut model = encoder.solver().model_values().to_vec();
-                if self.options.fault == Some(CertFault::CorruptModel) {
-                    if let Some(v) = model.iter_mut().find(|v| v.is_defined()) {
-                        *v = v.negate();
-                    }
-                }
-                if let Err(e) = self.checker.check_model(&model) {
-                    return Certificate::Failed {
-                        reason: format!("model check failed: {e}"),
-                    };
-                }
-                for &a in encoder.last_assumptions() {
-                    let value = model.get(a.var().index()).copied().unwrap_or(LBool::Undef);
-                    if value != LBool::from_bool(a.is_positive()) {
-                        return Certificate::Failed {
-                            reason: format!("model does not satisfy assumption {a}"),
-                        };
-                    }
-                }
-                // 4. Semantic re-check of the extracted failure set:
-                //    budget honored, property genuinely violated under
-                //    the concrete evaluator.
-                let Some((devices, links)) = violation else {
-                    return Certificate::Failed {
-                        reason: "threat verdict without an extracted violation".into(),
-                    };
-                };
-                if let Err(reason) = budget_honored(input, spec, devices, links) {
-                    return Certificate::Failed { reason };
-                }
-                if !evaluator.violates_full(property, spec.corrupted, devices, links) {
-                    return Certificate::Failed {
-                        reason: "extracted failure set does not violate the property \
-                                 under direct evaluation"
-                            .into(),
-                    };
-                }
-                Certificate::Threat {
-                    steps: 0,
-                    elapsed: Duration::ZERO,
-                }
-            }
-        }
+    /// The checker's counters after the last window.
+    #[cfg(test)]
+    pub(crate) fn checker_stats(&self) -> CheckStats {
+        self.stats
     }
 
-    fn write_proof_file(&self, query: u64, seq: u64, steps: &[ProofStep]) -> Result<(), String> {
-        let Some(dir) = self.options.proof_dir.as_ref() else {
-            return Ok(());
-        };
-        let path = dir.join(format!("query-{query:05}-{seq:04}.drat"));
-        let mut bytes = Vec::new();
-        satcore::write_drat(steps, &mut bytes)
-            .map_err(|e| format!("serializing proof for query {query}: {e}"))?;
-        std::fs::write(&path, bytes)
-            .map_err(|e| format!("writing proof file {}: {e}", path.display()))
+    /// Alive exactly while the checker thread runs.
+    #[cfg(test)]
+    pub(crate) fn checker_alive(&self) -> std::sync::Weak<()> {
+        self.alive.clone()
     }
+}
+
+impl Drop for CertSession {
+    /// Stops and joins the checker thread, so a dropped analyzer leaves
+    /// no thread (or checker state) behind, even mid-query.
+    fn drop(&mut self) {
+        let _ = self.tx.send(ToChecker::Stop);
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// The re-checks of a `sat` verdict that need no clause store: the
+/// model satisfies every assumption of the query, and the extracted
+/// failure set honors the budget and genuinely violates the property
+/// under the concrete evaluator.
+fn threat_checks(
+    assumptions: &[Lit],
+    model: &[LBool],
+    evaluator: &DirectEvaluator,
+    input: &AnalysisInput,
+    property: Property,
+    spec: ResiliencySpec,
+    violation: Option<(&HashSet<DeviceId>, &HashSet<usize>)>,
+) -> Result<(), String> {
+    for &a in assumptions {
+        let value = model.get(a.var().index()).copied().unwrap_or(LBool::Undef);
+        if value != LBool::from_bool(a.is_positive()) {
+            return Err(format!("model does not satisfy assumption {a}"));
+        }
+    }
+    let Some((devices, links)) = violation else {
+        return Err("threat verdict without an extracted violation".into());
+    };
+    budget_honored(input, spec, devices, links)?;
+    if !evaluator.violates_full(property, spec.corrupted, devices, links) {
+        return Err("extracted failure set does not violate the property \
+                    under direct evaluation"
+            .into());
+    }
+    Ok(())
 }
 
 /// Checks the extracted failure set against the spec's device and link
@@ -464,3 +743,6 @@ fn budget_honored(
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod tests;

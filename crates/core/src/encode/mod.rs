@@ -22,7 +22,7 @@ mod resilience;
 use std::collections::HashMap;
 
 use boolexpr::{Encoder, ExprPool};
-use satcore::{Lit, ProofBuffer, SolveResult, Solver};
+use satcore::{Lit, ProofSink, SolveResult, Solver};
 use scadasim::{DeviceId, DeviceKind};
 
 use crate::input::AnalysisInput;
@@ -176,27 +176,21 @@ impl ModelEncoder {
     /// Builds the base encoding: availability variables and failure
     /// counters. Property chains are added on first use.
     pub fn new(input: &AnalysisInput) -> ModelEncoder {
-        ModelEncoder::new_certified(input, paths::enumerate_paths(input), false).0
+        ModelEncoder::with_proof_sink(input, paths::enumerate_paths(input), None)
     }
 
-    /// Like [`ModelEncoder::new`], but when `certify` is set the solver
-    /// is armed for certification *before* the first variable or clause
-    /// exists: every original clause, learnt clause, simplification,
-    /// and deletion streams into the returned [`ProofBuffer`]. `paths` must be `input`'s path table.
-    pub(crate) fn new_certified(
+    /// Like [`ModelEncoder::new`], but with `sink` installed on the
+    /// solver *before* the first variable or clause exists: every
+    /// original clause, learnt clause, simplification, and deletion
+    /// streams into it. `paths` must be `input`'s path table.
+    pub(crate) fn with_proof_sink(
         input: &AnalysisInput,
         paths: PathTable,
-        certify: bool,
-    ) -> (ModelEncoder, Option<ProofBuffer>) {
+        sink: Option<Box<dyn ProofSink>>,
+    ) -> ModelEncoder {
         use satcore::CnfSink;
         let mut solver = Solver::new();
-        let buffer = if certify {
-            let buffer = ProofBuffer::new();
-            solver.set_proof_sink(Some(Box::new(buffer.clone())));
-            Some(buffer)
-        } else {
-            None
-        };
+        solver.set_proof_sink(sink);
         let node: Vec<Lit> = input
             .topology
             .devices()
@@ -225,7 +219,7 @@ impl ModelEncoder {
             .iter()
             .map(|_| solver.new_var().positive())
             .collect();
-        let encoder = ModelEncoder {
+        ModelEncoder {
             solver,
             pool: ExprPool::new(),
             enc: Encoder::new(),
@@ -240,8 +234,7 @@ impl ModelEncoder {
             not_detectable_cache: HashMap::new(),
             paths,
             last_assumptions: Vec::new(),
-        };
-        (encoder, buffer)
+        }
     }
 
     /// The availability literal of a device.

@@ -23,6 +23,18 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// The first panic payload captured by a fleet.
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
+/// The message of a panic payload (`panic!` with a literal or a
+/// formatted string), for reporting a caught panic.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".to_string()
+    }
+}
+
 /// A shared job queue: workers pull (`steal`) until empty.
 pub(crate) struct Injector<T> {
     jobs: Mutex<VecDeque<T>>,

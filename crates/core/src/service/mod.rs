@@ -75,5 +75,5 @@ pub use journal::{
 pub use protocol::{parse_json, parse_request, CertStatus, Json, LimitsSpec, QueryReply, Request};
 pub use replica::ReplicaCache;
 pub use server::{serve_stdio, serve_tcp, Engine, LineHandler, Response, ServeOptions};
-pub use session::SessionManager;
+pub use session::{Retired, SessionManager};
 pub use sharded::ShardedEngine;

@@ -317,7 +317,13 @@ impl Engine {
                 Response::reply(line)
             }
             Request::Evict { model } => {
-                let evicted = lock(&self.sessions).evict(model);
+                let (evicted, retired) = {
+                    let mut sessions = lock(&self.sessions);
+                    (sessions.evict(model), sessions.take_retired())
+                };
+                // Off the lock: the evicted worker finishes its in-flight
+                // queries and frees its analyzer before the reply.
+                retired.join();
                 let invalidated = lock(&self.cache).invalidate_model(model);
                 // Replica copies die with the model too; the reply
                 // reports the primary count only, so the line is

@@ -8,8 +8,12 @@
 //! the `patch` op mutates the warm model in place
 //! ([`Analyzer::apply_patch`]), after which the session's input is
 //! whatever the patch sequence produced, not what the session was
-//! created with. Eviction drops the job sender and the thread unwinds
-//! its own stack.
+//! created with. Eviction drops the job sender; the worker finishes its
+//! in-flight queries and exits, and its handle is joined outside the
+//! manager's lock — by the `evict` op before it replies, or by the next
+//! session's worker before it builds its analyzer — so a retired
+//! session's memory (and its checker thread) is gone before the next
+//! model's allocations start.
 //!
 //! Queries are closures over the warm analyzer, executed under
 //! [`catch_unwind`]: a panicking query reports an error to its caller
@@ -28,6 +32,7 @@ use std::thread::JoinHandle;
 use crate::certify::CertifyOptions;
 use crate::input::AnalysisInput;
 use crate::obs::{Obs, TraceEvent};
+use crate::pool::panic_message;
 use crate::verify::Analyzer;
 
 use super::hash::ModelHash;
@@ -61,23 +66,15 @@ struct Session {
     touched: u64,
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 fn run_session(
     model: ModelHash,
     input: AnalysisInput,
     obs: Obs,
     certify: CertifyOptions,
     rx: mpsc::Receiver<Job>,
+    predecessors: Retired,
 ) {
+    predecessors.join();
     let mut analyzer = Analyzer::owning(input, obs.clone(), certify.clone());
     while let Ok(job) = rx.recv() {
         analyzer.reset_for_query();
@@ -153,6 +150,33 @@ impl DispatchTicket {
         self.reply
             .recv()
             .map_err(|_| "session exited before answering".to_string())?
+    }
+}
+
+/// Worker threads of retired sessions, taken from the manager so they
+/// can be joined without holding its lock. Dropping joins them too.
+#[must_use = "retired workers are joined when this is joined or dropped"]
+#[derive(Debug, Default)]
+pub struct Retired(Vec<JoinHandle<()>>);
+
+impl Retired {
+    /// Blocks until every worker has exited.
+    pub fn join(mut self) {
+        self.join_all();
+    }
+
+    fn join_all(&mut self) {
+        for handle in self.0.drain(..) {
+            // A worker that panicked outside a query is already gone;
+            // joining it must not take the caller down with it.
+            let _ = handle.join();
+        }
+    }
+}
+
+impl Drop for Retired {
+    fn drop(&mut self) {
+        self.join_all();
     }
 }
 
@@ -248,9 +272,12 @@ impl SessionManager {
         let obs = self.obs.clone();
         let certify = self.certify.clone();
         let owned = input.clone();
+        // The new worker joins the retired ones before it encodes, off
+        // this manager's lock.
+        let predecessors = self.take_retired();
         let handle = std::thread::Builder::new()
             .name(format!("scadad-session-{model}"))
-            .spawn(move || run_session(model, owned, obs, certify, rx))
+            .spawn(move || run_session(model, owned, obs, certify, rx, predecessors))
             .expect("spawn session thread");
         self.sessions.push(Session {
             model,
@@ -374,8 +401,10 @@ impl SessionManager {
     }
 
     /// Evicts the session for `model`, if warm. The worker finishes any
-    /// in-flight query, then exits; its handle is reaped by a later
-    /// retirement once finished, or joined at shutdown.
+    /// in-flight query, then exits; join it through
+    /// [`SessionManager::take_retired`] once this manager's lock is
+    /// released (otherwise the next session's worker or shutdown joins
+    /// it).
     pub fn evict(&mut self, model: ModelHash) -> bool {
         let Some(pos) = self.sessions.iter().position(|s| s.model == model) else {
             return false;
@@ -403,6 +432,12 @@ impl SessionManager {
         }
     }
 
+    /// Takes the handles of every retired worker still tracked, to be
+    /// joined by the caller after releasing this manager's lock.
+    pub fn take_retired(&mut self) -> Retired {
+        Retired(std::mem::take(&mut self.retired))
+    }
+
     /// Drops every session and joins every worker thread, blocking
     /// until in-flight queries drain. Called exactly once at shutdown.
     pub fn shutdown(&mut self) {
@@ -412,11 +447,7 @@ impl SessionManager {
                 self.retired.push(handle);
             }
         }
-        for handle in self.retired.drain(..) {
-            // A worker that panicked outside a query is already gone;
-            // joining it must not take the service down with it.
-            let _ = handle.join();
-        }
+        self.take_retired().join();
     }
 }
 
@@ -503,6 +534,41 @@ mod tests {
         assert!(mgr.retired.len() <= 1, "{} handles kept", mgr.retired.len());
         mgr.shutdown();
         assert!(mgr.retired.is_empty());
+    }
+
+    #[test]
+    fn evict_leaves_no_unfinished_worker_once_joined() {
+        let certify = CertifyOptions::enabled();
+        let mut mgr = SessionManager::new(2, Obs::none(), certify.clone());
+        let input = five_bus_case_study();
+        let (model, _) = mgr.ensure(&input);
+        let in_flight = mgr
+            .dispatch(model, verify_query(ResiliencySpec::split(2, 1)))
+            .unwrap();
+        assert!(mgr.evict(model));
+        assert_eq!(mgr.retired.len(), 1);
+        let retired = mgr.take_retired();
+        assert!(mgr.retired.is_empty(), "the manager keeps no handle");
+        retired.join();
+        // The worker ran its in-flight query to the end before it exited.
+        assert!(in_flight.reply.try_recv().unwrap().is_ok());
+        assert_eq!(certify.log.checks(), 1);
+
+        // A session evicted to make room is joined by its successor's
+        // worker, before that worker builds its analyzer.
+        let mut mgr = SessionManager::new(1, Obs::none(), certify);
+        mgr.ensure(&input);
+        let mut other = five_bus_case_study();
+        other.routers_can_fail = true;
+        let (next, created) = mgr.ensure(&other);
+        assert!(created);
+        assert!(mgr.retired.is_empty(), "handed to the new worker");
+        assert!(mgr
+            .dispatch(next, verify_query(ResiliencySpec::split(1, 1)))
+            .unwrap()
+            .wait()
+            .is_ok());
+        mgr.shutdown();
     }
 
     #[test]

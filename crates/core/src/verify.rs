@@ -27,10 +27,11 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
+use satcore::{ChunkSink, ProofSink};
 use scadasim::DeviceId;
 
 use crate::bruteforce::DirectEvaluator;
-use crate::certify::{CertSession, Certificate, CertifyOptions};
+use crate::certify::{CertSession, Certificate, CertifyOptions, CHUNK_ENTRIES};
 use crate::encode::paths::{enumerate_paths, PathTable};
 use crate::encode::{DeltaStats, EncodingStats, ModelEncoder, SearchOutcome};
 use crate::input::AnalysisInput;
@@ -198,8 +199,29 @@ impl<'a> Analyzer<'a> {
         obs: Obs,
         certify: CertifyOptions,
     ) -> Analyzer<'a> {
-        let (encoder, buffer) = ModelEncoder::new_certified(&input, paths.clone(), certify.enabled);
-        let cert = buffer.map(|b| CertSession::new(b, certify.clone()));
+        Analyzer::build_certified(input, paths, obs, certify, CHUNK_ENTRIES, |sink| {
+            Box::new(sink)
+        })
+    }
+
+    /// Builds the analyzer; when `certify.enabled`, its checker thread
+    /// is fed in chunks of `entries` entries through the sink that
+    /// `install` makes of the checker's [`ChunkSink`].
+    pub(crate) fn build_certified(
+        input: Cow<'a, AnalysisInput>,
+        paths: PathTable,
+        obs: Obs,
+        certify: CertifyOptions,
+        entries: usize,
+        install: impl FnOnce(ChunkSink) -> Box<dyn ProofSink>,
+    ) -> Analyzer<'a> {
+        let (cert, sink) = if certify.enabled {
+            let (session, sink) = CertSession::start(certify.clone(), entries);
+            (Some(session), Some(install(sink)))
+        } else {
+            (None, None)
+        };
+        let encoder = ModelEncoder::with_proof_sink(&input, paths.clone(), sink);
         Analyzer {
             encoder,
             evaluator: DirectEvaluator::with_paths(&input, paths),
@@ -247,13 +269,14 @@ impl<'a> Analyzer<'a> {
     /// on the next query.
     ///
     /// When certification is active, the previous query's proof steps
-    /// are flushed through the checker and to disk *before* the
-    /// encoder mutates — a patch arriving while a proof is still
-    /// buffered must wait on that flush, or the patch's clause
-    /// additions would interleave into the prior query's proof file.
+    /// are flushed through the checker thread and to disk *before* the
+    /// encoder mutates — a patch arriving while a proof is still in
+    /// flight must wait on that flush, or the patch's clause additions
+    /// would interleave into the prior query's proof file.
     pub fn apply_patch(&mut self, patch: &ModelPatch) -> Result<DeltaStats, PatchError> {
         let next = patch.apply(&self.input)?;
         if let Some(cert) = self.cert.as_mut() {
+            self.encoder.solver_mut().flush_proof();
             cert.flush_patch_boundary().map_err(PatchError::internal)?;
         }
         // The input is swapped in last: if the delta encode panics, the
@@ -275,6 +298,12 @@ impl<'a> Analyzer<'a> {
             secured_dirty: stats.secured_dirty,
         });
         Ok(stats)
+    }
+
+    /// The certification session of a certified analyzer.
+    #[cfg(test)]
+    pub(crate) fn cert_session(&mut self) -> &mut CertSession {
+        self.cert.as_mut().expect("a certified analyzer")
     }
 
     /// Mutable access to the symbolic model (threat enumeration adds
@@ -320,9 +349,10 @@ impl<'a> Analyzer<'a> {
         self.obs.has_tracer() || self.certify.wants_query_ids()
     }
 
-    /// Certifies the verdict of the query that just finished, draining
-    /// the axioms and proof steps logged since the previous one. Returns `None` when certification is
-    /// disabled. `violation` carries the *full* (pre-minimization)
+    /// Certifies the verdict of the query that just finished: flushes
+    /// the solver's proof sink and waits for the checker thread to
+    /// finish the axioms and proof steps logged since the previous
+    /// query. Returns `None` when certification is disabled. `violation` carries the *full* (pre-minimization)
     /// failure sets extracted from the solver model on `sat` verdicts.
     pub(crate) fn certify_verdict(
         &mut self,
@@ -333,6 +363,7 @@ impl<'a> Analyzer<'a> {
         violation: Option<(&HashSet<DeviceId>, &HashSet<usize>)>,
     ) -> Option<Certificate> {
         let session = self.cert.as_mut()?;
+        self.encoder.solver_mut().flush_proof();
         Some(session.certify(
             &self.encoder,
             &self.evaluator,

@@ -272,6 +272,28 @@ fn corrupted_model_is_rejected_with_exit_4() {
     );
 }
 
+/// A panic on the checker thread that replays proofs beside the solver
+/// must fail certification and flip the exit code to 4, not hang the run
+/// or take it down.
+#[test]
+fn checker_thread_panic_is_rejected_with_exit_4() {
+    let out = certified_cli_with_fault(
+        "checker",
+        "checker",
+        &["--property", "obs", "--k", "0", "--r", "0"],
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(4),
+        "certification failure outranks exit 0"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("certification failed: proof checker thread panicked"),
+        "stderr must name the failure: {stderr}"
+    );
+}
+
 /// An unrecognised fault name is a usage error, not a silent no-op —
 /// a typo in the fault hook must never run an unfaulted "mutation"
 /// test that vacuously passes.

@@ -31,6 +31,10 @@
 //! inprocessing emits — every learned clause follows from its reason
 //! clauses by input resolution, which unit propagation re-derives.
 //!
+//! [`RupChecker::replay_chunk`] applies a [`ProofChunk`] — axioms and
+//! hinted steps in arrival order, as [`crate::ChunkSink`] hands them to
+//! a checker on another thread — with the same engine.
+//!
 //! **Hinted replay.** [`RupChecker::replay`] takes a [`HintedProof`],
 //! whose additions name their antecedents by proof id (see
 //! [`crate::proof`]). A hinted addition is validated by asserting its
@@ -49,7 +53,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::dimacs::Cnf;
 use crate::lit::{LBool, Lit};
-use crate::proof::{HintedProof, ProofStep, LEMMA_ID_TAG};
+use crate::proof::{ChunkRecord, HintedProof, ProofChunk, ProofStep, LEMMA_ID_TAG};
 
 /// Why a certification check failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -694,58 +698,91 @@ impl RupChecker {
         Ok(())
     }
 
+    /// Applies every record of `chunk` in arrival order — axioms are
+    /// added, steps applied with their hints — stopping at the first
+    /// rejected step.
+    pub fn replay_chunk(&mut self, chunk: &ProofChunk) -> Result<(), CheckError> {
+        chunk
+            .iter()
+            .try_for_each(|record| self.apply_record(record))
+    }
+
+    /// Applies one record of a [`ProofChunk`]: an axiom is added like
+    /// [`add_axiom`](Self::add_axiom), a step is applied like
+    /// [`apply_hinted`](Self::apply_hinted).
+    pub fn apply_record(&mut self, record: ChunkRecord<'_>) -> Result<(), CheckError> {
+        match record {
+            ChunkRecord::Axiom(lits) => {
+                self.add_axiom(lits);
+                Ok(())
+            }
+            ChunkRecord::Add(lits, hints) => self.apply_add(lits, Some(hints)),
+            ChunkRecord::Delete(lits) => {
+                self.apply_delete(lits);
+                Ok(())
+            }
+        }
+    }
+
     fn apply_step(&mut self, step: &ProofStep, hints: Option<&[u32]>) -> Result<(), CheckError> {
+        match step {
+            ProofStep::Add(lits) => self.apply_add(lits, hints),
+            ProofStep::Delete(lits) => {
+                self.apply_delete(lits);
+                Ok(())
+            }
+        }
+    }
+
+    fn apply_add(&mut self, lits: &[Lit], hints: Option<&[u32]>) -> Result<(), CheckError> {
         let index = self.stats.steps as usize;
         self.stats.steps += 1;
-        match step {
-            ProofStep::Add(lits) => {
-                let rup = match hints {
-                    None => self.is_rup(lits),
-                    Some(hints) if self.is_hinted_rup(lits, hints) => {
-                        self.stats.hinted += 1;
-                        true
-                    }
-                    Some(_) => {
-                        self.stats.fallbacks += 1;
-                        self.is_rup(lits)
-                    }
-                };
-                if !rup {
-                    self.lemmas.push(None);
-                    return Err(CheckError::NotRup { step: index });
-                }
-                let ci = self.insert(lits, 0);
-                self.lemmas.push(Some(ci));
-                Ok(())
+        let rup = match hints {
+            None => self.is_rup(lits),
+            Some(hints) if self.is_hinted_rup(lits, hints) => {
+                self.stats.hinted += 1;
+                true
             }
-            ProofStep::Delete(lits) => {
-                // Walk the same-hash chain newest-first for a live,
-                // unlocked instance; locked reasons stay, and the hash
-                // only narrows candidates — the literal-set comparison
-                // decides the actual match.
-                let key = clause_key(lits);
-                let mut cur = self.by_key.get(&key).copied().unwrap_or(NO_CLAUSE);
-                while cur != NO_CLAUSE {
-                    let ci = cur as usize;
-                    let clause = self.range(ci);
-                    if self.flags[ci] & (LOCKED | DELETED) == 0
-                        && same_clause(&self.lits[clause.clone()], lits)
-                    {
-                        // Watch entries for `ci` go stale here; the
-                        // propagation loop drops them lazily.
-                        self.flags[ci] |= DELETED;
-                        if self.flags[ci] & AXIOM == 0 {
-                            self.dead += clause.len();
-                            if self.dead * 2 > self.lits.len() {
-                                self.compact();
-                            }
-                        }
-                        break;
-                    }
-                    cur = self.chain[ci];
-                }
-                Ok(())
+            Some(_) => {
+                self.stats.fallbacks += 1;
+                self.is_rup(lits)
             }
+        };
+        if !rup {
+            self.lemmas.push(None);
+            return Err(CheckError::NotRup { step: index });
+        }
+        let ci = self.insert(lits, 0);
+        self.lemmas.push(Some(ci));
+        Ok(())
+    }
+
+    fn apply_delete(&mut self, lits: &[Lit]) {
+        self.stats.steps += 1;
+        // Walk the same-hash chain newest-first for a live, unlocked
+        // instance; locked reasons stay, and the hash only narrows
+        // candidates — the literal-set comparison decides the actual
+        // match.
+        let key = clause_key(lits);
+        let mut cur = self.by_key.get(&key).copied().unwrap_or(NO_CLAUSE);
+        while cur != NO_CLAUSE {
+            let ci = cur as usize;
+            let clause = self.range(ci);
+            if self.flags[ci] & (LOCKED | DELETED) == 0
+                && same_clause(&self.lits[clause.clone()], lits)
+            {
+                // Watch entries for `ci` go stale here; the propagation
+                // loop drops them lazily.
+                self.flags[ci] |= DELETED;
+                if self.flags[ci] & AXIOM == 0 {
+                    self.dead += clause.len();
+                    if self.dead * 2 > self.lits.len() {
+                        self.compact();
+                    }
+                }
+                break;
+            }
+            cur = self.chain[ci];
         }
     }
 
@@ -1052,6 +1089,61 @@ mod tests {
             hinted.propagations,
             plain.propagations
         );
+    }
+
+    #[test]
+    fn chunk_replay_matches_a_drained_replay() {
+        // PHP(6,5) solved twice by the same deterministic solver: once
+        // into one-entry chunks, once into a buffer drained after the
+        // solve. Replaying the chunks in arrival order must do exactly
+        // the work of axioms-then-steps.
+        let (holes, pigeons) = (5usize, 6usize);
+        let v = |p: usize, h: usize| Var::from_index(p * holes + h);
+        let mut clauses: Vec<Vec<Lit>> = (0..pigeons)
+            .map(|p| (0..holes).map(|h| v(p, h).positive()).collect())
+            .collect();
+        for h in 0..holes {
+            for p1 in 0..pigeons {
+                for p2 in (p1 + 1)..pigeons {
+                    clauses.push(vec![v(p1, h).negative(), v(p2, h).negative()]);
+                }
+            }
+        }
+        let f = Cnf {
+            num_vars: holes * pigeons,
+            clauses,
+        };
+        let chunks = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let out = chunks.clone();
+        let mut solver = crate::Solver::new();
+        solver.set_proof_sink(Some(Box::new(crate::ChunkSink::new(1, move |c| {
+            out.lock().unwrap().push(c);
+            crate::ProofChunk::default()
+        }))));
+        f.load_into(&mut solver);
+        assert_eq!(solver.solve(), crate::SolveResult::Unsat);
+        let mut piped = RupChecker::new();
+        for chunk in chunks.lock().unwrap().iter() {
+            piped.replay_chunk(chunk).expect("chunk replay");
+        }
+
+        let buffer = crate::ProofBuffer::new();
+        let mut solver = crate::Solver::new();
+        solver.set_proof_sink(Some(Box::new(buffer.clone())));
+        f.load_into(&mut solver);
+        assert_eq!(solver.solve(), crate::SolveResult::Unsat);
+        let mut serial = RupChecker::new();
+        for clause in buffer.take_axioms().iter() {
+            serial.add_axiom(clause);
+        }
+        serial
+            .replay(&buffer.take_hinted())
+            .expect("drained replay");
+
+        assert_eq!(piped.stats(), serial.stats());
+        assert_eq!(piped.stats().fallbacks, 0);
+        assert!(piped.refutes(&[]) && serial.refutes(&[]));
+        assert_eq!(piped.stats(), serial.stats());
     }
 
     #[test]

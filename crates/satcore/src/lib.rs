@@ -61,7 +61,7 @@ pub use dimacs::{parse_dimacs, write_dimacs, Cnf, ParseDimacsError};
 pub use lit::{LBool, Lit, Var};
 pub use luby::luby;
 pub use proof::{
-    parse_drat, write_drat, Axioms, DratWriter, HintedProof, ProofBuffer, ProofSink, ProofStep,
-    LEMMA_ID_TAG,
+    parse_drat, write_drat, Axioms, ChunkRecord, ChunkSink, DratWriter, HintedProof, ProofBuffer,
+    ProofChunk, ProofSink, ProofStep, LEMMA_ID_TAG,
 };
 pub use solver::{CnfSink, SolveResult, Solver, SolverStats};

@@ -9,15 +9,17 @@
 //! `0`-terminated, deletions prefixed with `d` — so proofs are also
 //! consumable by external tools such as `drat-trim`.
 //!
-//! Two sinks are provided: [`DratWriter`] streams the proof to a file
+//! Three sinks are provided: [`DratWriter`] streams the proof to a file
 //! (buffered at line boundaries, synced on flush, so an interrupted or
-//! deadline-bounded solve never leaves a torn line behind), and
+//! deadline-bounded solve never leaves a torn line behind),
 //! [`ProofBuffer`] accumulates [`ProofStep`]s in memory for in-process
-//! checking with [`crate::check`]. The solver hands every original
-//! clause to [`ProofSink::add_axiom`] as it arrives; the file sink drops
-//! it, and the buffer keeps it flat in [`Axioms`], so an in-process
-//! checker learns the formula from the sink instead of from a second
-//! copy inside the solver.
+//! checking with [`crate::check`], and [`ChunkSink`] hands axioms and
+//! steps to a checker on another thread in flat [`ProofChunk`]s while
+//! the solver runs. The solver hands every original clause to
+//! [`ProofSink::add_axiom`] as it arrives; the file sink drops it, and
+//! the in-memory sinks keep it flat, so an in-process checker learns
+//! the formula from the sink instead of from a second copy inside the
+//! solver.
 //!
 //! The solver also names each addition's *antecedents*: the proof ids of
 //! the clauses its conflict analysis resolved, in propagation order (the
@@ -77,6 +79,10 @@ pub trait ProofSink: Send {
     }
     /// Records the deletion of `lits`.
     fn delete_clause(&mut self, lits: &[Lit]);
+    /// Marks the start of a solve call: no axiom arrives until it
+    /// returns, so the steps it emits follow from the clauses handed
+    /// over so far.
+    fn begin_solve(&mut self) {}
     /// Makes everything recorded so far durable.
     fn flush_proof(&mut self) {}
 }
@@ -369,6 +375,230 @@ impl ProofSink for ProofBuffer {
     }
 }
 
+/// What a [`ProofChunk`] record is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RecordKind {
+    Axiom,
+    Add,
+    Delete,
+}
+
+/// Where one [`ProofChunk`] record's literals and hints end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Record {
+    kind: RecordKind,
+    lits_end: u32,
+    hints_end: u32,
+}
+
+/// One record of a [`ProofChunk`], borrowing its storage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChunkRecord<'a> {
+    /// An original clause, verbatim.
+    Axiom(&'a [Lit]),
+    /// A clause addition and the proof ids of its antecedents.
+    Add(&'a [Lit], &'a [u32]),
+    /// A clause deletion.
+    Delete(&'a [Lit]),
+}
+
+/// Axioms and proof steps in the order a checker applies them, stored
+/// flat: one literal buffer, one hint buffer and one small record per
+/// clause, so a chunk costs a few allocations however many records it
+/// holds, and none per record.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ProofChunk {
+    lits: Vec<Lit>,
+    hints: Vec<u32>,
+    records: Vec<Record>,
+}
+
+impl ProofChunk {
+    fn push(&mut self, kind: RecordKind, lits: &[Lit], hints: &[u32]) {
+        self.lits.extend_from_slice(lits);
+        self.hints.extend_from_slice(hints);
+        let end = |len: usize| u32::try_from(len).expect("a proof chunk holds under 4G entries");
+        self.records.push(Record {
+            kind,
+            lits_end: end(self.lits.len()),
+            hints_end: end(self.hints.len()),
+        });
+    }
+
+    /// The records, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = ChunkRecord<'_>> + '_ {
+        (0..self.records.len()).map(|i| {
+            let (lits_start, hints_start) = match i.checked_sub(1) {
+                Some(p) => (self.records[p].lits_end, self.records[p].hints_end),
+                None => (0, 0),
+            };
+            let r = self.records[i];
+            let lits = &self.lits[lits_start as usize..r.lits_end as usize];
+            match r.kind {
+                RecordKind::Axiom => ChunkRecord::Axiom(lits),
+                RecordKind::Add => ChunkRecord::Add(
+                    lits,
+                    &self.hints[hints_start as usize..r.hints_end as usize],
+                ),
+                RecordKind::Delete => ChunkRecord::Delete(lits),
+            }
+        })
+    }
+
+    /// Whether any record is a proof step rather than an axiom.
+    pub fn has_steps(&self) -> bool {
+        self.records.iter().any(|r| r.kind != RecordKind::Axiom)
+    }
+
+    /// Appends the chunk's proof steps (axioms skipped) to `buf` as
+    /// textual DRAT, byte for byte what [`write_drat`] writes for them.
+    pub fn write_drat_steps(&self, buf: &mut String) {
+        for record in self.iter() {
+            match record {
+                ChunkRecord::Axiom(_) => {}
+                ChunkRecord::Add(lits, _) => push_line(buf, lits),
+                ChunkRecord::Delete(lits) => {
+                    buf.push_str("d ");
+                    push_line(buf, lits);
+                }
+            }
+        }
+    }
+
+    /// The number of records.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// The chunk's size in entries: one per record, literal and hint.
+    pub fn entries(&self) -> usize {
+        self.records.len() + self.lits.len() + self.hints.len()
+    }
+
+    /// Whether the chunk holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The chunk emptied, its buffers kept for reuse.
+    pub fn cleared(mut self) -> ProofChunk {
+        self.lits.clear();
+        self.hints.clear();
+        self.records.clear();
+        self
+    }
+}
+
+/// A proof sink that hands axioms and hinted steps to a consumer — a
+/// checker on another thread — in [`ProofChunk`]s, with no lock and no
+/// allocation per record on the solver's side.
+///
+/// The consumer sees the order a checker that drains a [`ProofBuffer`]
+/// after each solve sees: the axioms a solve call follows from, then
+/// its steps. Outside a solve, axioms are handed on whenever their chunk
+/// fills, while steps (add-time simplifications) are held back, since
+/// more axioms may still come; [`begin_solve`](ProofSink::begin_solve)
+/// hands on both, in that order. Inside a solve no axiom arrives, so
+/// steps are handed on whenever their chunk fills.
+/// [`flush_proof`](ProofSink::flush_proof) hands on everything held.
+pub struct ChunkSink {
+    axioms: ProofChunk,
+    steps: ProofChunk,
+    /// Inside a solve call: steps are handed on as soon as a chunk fills.
+    solving: bool,
+    /// Entries ([`ProofChunk::entries`]) that fill a chunk.
+    capacity: usize,
+    ship: Box<dyn FnMut(ProofChunk) -> ProofChunk + Send>,
+}
+
+impl std::fmt::Debug for ChunkSink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ChunkSink")
+            .field("axioms", &self.axioms.len())
+            .field("steps", &self.steps.len())
+            .field("solving", &self.solving)
+            .field("capacity", &self.capacity)
+            .finish()
+    }
+}
+
+impl ChunkSink {
+    /// A sink handing `ship` a chunk as soon as it holds `capacity`
+    /// entries (one record always fills a chunk of capacity 1); held
+    /// add-time steps are handed on in one chunk. `ship` returns the
+    /// chunk to fill next: a consumer that hands its spent chunks back
+    /// spares the solver an allocation per chunk (the sink clears it). Sizing by entries
+    /// rather than records keeps hinted lemmas — long and costly to
+    /// check — moving to the consumer while the solver runs, and
+    /// axioms — short and cheap — in few hand-offs.
+    pub fn new(
+        capacity: usize,
+        ship: impl FnMut(ProofChunk) -> ProofChunk + Send + 'static,
+    ) -> ChunkSink {
+        ChunkSink {
+            axioms: ProofChunk::default(),
+            steps: ProofChunk::default(),
+            solving: false,
+            capacity: capacity.max(1),
+            ship: Box::new(ship),
+        }
+    }
+
+    fn ship_axioms(&mut self) {
+        if !self.axioms.is_empty() {
+            let next = (self.ship)(std::mem::take(&mut self.axioms));
+            self.axioms = next.cleared();
+        }
+    }
+
+    fn ship_steps(&mut self) {
+        if !self.steps.is_empty() {
+            let next = (self.ship)(std::mem::take(&mut self.steps));
+            self.steps = next.cleared();
+        }
+    }
+
+    fn push_step(&mut self, kind: RecordKind, lits: &[Lit], hints: &[u32]) {
+        self.steps.push(kind, lits, hints);
+        if self.solving && self.steps.entries() >= self.capacity {
+            self.ship_steps();
+        }
+    }
+}
+
+impl ProofSink for ChunkSink {
+    fn add_axiom(&mut self, lits: &[Lit]) {
+        self.axioms.push(RecordKind::Axiom, lits, &[]);
+        if self.axioms.entries() >= self.capacity {
+            self.ship_axioms();
+        }
+    }
+
+    fn add_clause(&mut self, lits: &[Lit]) {
+        self.add_clause_hinted(lits, &[]);
+    }
+
+    fn add_clause_hinted(&mut self, lits: &[Lit], hints: &[u32]) {
+        self.push_step(RecordKind::Add, lits, hints);
+    }
+
+    fn delete_clause(&mut self, lits: &[Lit]) {
+        self.push_step(RecordKind::Delete, lits, &[]);
+    }
+
+    fn begin_solve(&mut self) {
+        self.ship_axioms();
+        self.ship_steps();
+        self.solving = true;
+    }
+
+    fn flush_proof(&mut self) {
+        self.ship_axioms();
+        self.ship_steps();
+        self.solving = false;
+    }
+}
+
 /// Serializes proof steps as textual DRAT.
 pub fn write_drat<W: Write>(steps: &[ProofStep], w: &mut W) -> io::Result<()> {
     let mut buf = String::new();
@@ -568,6 +798,87 @@ mod tests {
         let mut w = DratWriter::new(Vec::new());
         w.add_clause_hinted(&[lit(1)], &[7, 8]);
         assert_eq!(w.into_inner().unwrap(), b"1 0\n");
+    }
+
+    #[test]
+    fn chunk_sink_holds_steps_until_a_solve_starts() {
+        let shipped = Arc::new(Mutex::new(Vec::new()));
+        let out = shipped.clone();
+        let mut sink = ChunkSink::new(1, move |chunk| {
+            out.lock().unwrap().push(chunk);
+            ProofChunk::default()
+        });
+        let lens = |shipped: &Mutex<Vec<ProofChunk>>| -> Vec<usize> {
+            shipped
+                .lock()
+                .unwrap()
+                .iter()
+                .map(ProofChunk::len)
+                .collect()
+        };
+        sink.add_axiom(&[lit(1)]);
+        sink.add_clause(&[lit(2)]);
+        sink.add_axiom(&[lit(3)]);
+        // Outside a solve, full axiom chunks move on; the step waits,
+        // since more axioms may follow.
+        assert_eq!(lens(&shipped), [1, 1]);
+        sink.begin_solve();
+        assert_eq!(lens(&shipped), [1, 1, 1]);
+        // Inside a solve, each full chunk moves on at once.
+        sink.add_clause_hinted(&[lit(4), lit(-1)], &[0, LEMMA_ID_TAG]);
+        sink.delete_clause(&[lit(2)]);
+        assert_eq!(lens(&shipped), [1, 1, 1, 1, 1]);
+        sink.flush_proof();
+        sink.add_clause(&[lit(5)]);
+        assert_eq!(lens(&shipped).len(), 5, "held again after the solve");
+        sink.flush_proof();
+        let chunks = shipped.lock().unwrap();
+        let records: Vec<ChunkRecord<'_>> = chunks.iter().flat_map(ProofChunk::iter).collect();
+        assert_eq!(
+            records,
+            [
+                ChunkRecord::Axiom(&[lit(1)]),
+                ChunkRecord::Axiom(&[lit(3)]),
+                ChunkRecord::Add(&[lit(2)], &[]),
+                ChunkRecord::Add(&[lit(4), lit(-1)], &[0, LEMMA_ID_TAG]),
+                ChunkRecord::Delete(&[lit(2)]),
+                ChunkRecord::Add(&[lit(5)], &[]),
+            ]
+        );
+        assert_eq!(chunks[3].entries(), 5, "a record, two literals, two hints");
+        // DRAT text of a chunk is what `write_drat` writes for its steps.
+        let mut text = String::new();
+        chunks.iter().for_each(|c| c.write_drat_steps(&mut text));
+        let steps = [
+            ProofStep::Add(vec![lit(2)]),
+            ProofStep::Add(vec![lit(4), lit(-1)]),
+            ProofStep::Delete(vec![lit(2)]),
+            ProofStep::Add(vec![lit(5)]),
+        ];
+        let mut drat = Vec::new();
+        write_drat(&steps, &mut drat).unwrap();
+        assert_eq!(text.as_bytes(), drat);
+    }
+
+    #[test]
+    fn chunk_sink_fills_chunks_by_entries() {
+        let shipped = Arc::new(Mutex::new(Vec::new()));
+        let out = shipped.clone();
+        let mut sink = ChunkSink::new(8, move |chunk| {
+            out.lock().unwrap().push(chunk);
+            ProofChunk::default()
+        });
+        for v in 1..=6 {
+            sink.add_axiom(&[lit(v), lit(-v - 1)]);
+        }
+        // Three entries per axiom: the third one fills the chunk.
+        assert_eq!(shipped.lock().unwrap().len(), 2);
+        assert!(shipped.lock().unwrap().iter().all(|c| c.len() == 3));
+        sink.begin_solve();
+        sink.add_clause_hinted(&[lit(1)], &[0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(shipped.lock().unwrap().len(), 3, "one long lemma fills one");
+        assert!(!shipped.lock().unwrap()[1].has_steps());
+        assert!(shipped.lock().unwrap()[2].has_steps());
     }
 
     #[test]

@@ -345,10 +345,17 @@ impl Solver {
     /// Flushes the proof sink and passes `r` through; called on every
     /// solve exit so even `Unknown` leaves a durable, untorn proof.
     fn finish(&mut self, r: SolveResult) -> SolveResult {
+        self.flush_proof();
+        r
+    }
+
+    /// Makes everything the proof sink holds durable (no-op without a
+    /// sink). Solve calls do this on every exit; callers that add
+    /// clauses outside a solve call it before reading the proof.
+    pub fn flush_proof(&mut self) {
         if let Some(p) = self.proof.as_mut() {
             p.0.flush_proof();
         }
-        r
     }
 
     /// Number of live clauses (original + learnt).
@@ -982,6 +989,9 @@ impl Solver {
     /// On [`SolveResult::Unsat`], [`Solver::unsat_core`] holds the subset
     /// of assumptions used in the refutation.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
+        if let Some(p) = self.proof.as_mut() {
+            p.0.begin_solve();
+        }
         self.model.clear();
         self.conflict_core.clear();
         if !self.ok {
