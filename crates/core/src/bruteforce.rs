@@ -18,7 +18,7 @@
 //! into Tseitin definitions, counters and a solver search.
 
 use std::collections::HashSet;
-use std::sync::LazyLock;
+use std::sync::{Arc, LazyLock};
 
 use powergrid::observability::boolean_observability;
 use scadasim::DeviceId;
@@ -30,12 +30,13 @@ use crate::threat::ThreatVector;
 
 /// Direct (non-symbolic) evaluator for the three resiliency properties.
 ///
-/// Owns a snapshot of its input: a warm session that patches its model
-/// in place ([`crate::Analyzer::apply_patch`]) swaps in a fresh
-/// evaluator without invalidating borrows held elsewhere.
+/// Holds a shared snapshot of its input (an [`crate::Analyzer`] shares
+/// its own): a warm session that patches its model in place
+/// ([`crate::Analyzer::apply_patch`]) swaps in a fresh evaluator without
+/// invalidating borrows held elsewhere.
 #[derive(Debug)]
 pub struct DirectEvaluator {
-    input: AnalysisInput,
+    input: Arc<AnalysisInput>,
     /// The model's path table: assured and secured paths per device
     /// index (empty for non-IEDs).
     paths: PathTable,
@@ -49,16 +50,29 @@ static NO_LINKS: LazyLock<HashSet<usize>> = LazyLock::new(HashSet::new);
 impl DirectEvaluator {
     /// Enumerates the paths of every IED (cloning the input).
     pub fn new(input: &AnalysisInput) -> DirectEvaluator {
-        DirectEvaluator::with_paths(input, enumerate_paths(input))
+        DirectEvaluator::with_paths(Arc::new(input.clone()), enumerate_paths(input))
     }
 
     /// Builds the evaluator over `input`'s already enumerated path table.
-    pub(crate) fn with_paths(input: &AnalysisInput, paths: PathTable) -> DirectEvaluator {
+    pub(crate) fn with_paths(input: Arc<AnalysisInput>, paths: PathTable) -> DirectEvaluator {
         DirectEvaluator {
             recorded_by: input.recorded_by(),
-            input: input.clone(),
+            input,
             paths,
         }
+    }
+
+    /// The evaluator's path table.
+    pub(crate) fn paths(&self) -> &PathTable {
+        &self.paths
+    }
+
+    /// Whether two evaluators walk the same forwarding paths: equal
+    /// assured and secured path sets, devices and links in order, for
+    /// every device. A warm [`crate::Analyzer`]'s evaluator walks the
+    /// same paths as `DirectEvaluator::new` on its current input.
+    pub fn same_paths(&self, other: &DirectEvaluator) -> bool {
+        self.paths == other.paths
     }
 
     /// Whether some path survives the failure sets.

@@ -7,8 +7,6 @@
 //! (every step crosses a chunk boundary). The checker thread's faults
 //! must fail certificates, never hang or panic the analyzer.
 
-use std::borrow::Cow;
-
 use powergrid::synthetic::ieee_sized;
 use satcore::{HintedProof, ProofBuffer, ProofSink};
 use scadasim::{generate, CryptoAlgorithm, CryptoProfile, DeviceKind, ScadaGenConfig};
@@ -73,7 +71,7 @@ impl<'a> Oracle<'a> {
             ..CertifyOptions::enabled()
         };
         let analyzer = Analyzer::build_certified(
-            Cow::Borrowed(input),
+            std::sync::Arc::new(input.clone()),
             enumerate_paths(input),
             Obs::none(),
             certify,

@@ -40,37 +40,40 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use scadasim::{write_config, CryptoProfile, DeviceId};
+use scadasim::{write_config, CryptoProfile, DeviceId, Topology};
 
 use crate::ingest::{import_dir, ImportedConfig, IngestError};
 use crate::obs::{json_escape_into, Obs};
 use crate::parallel::par_map;
-use crate::service::{model_hash, parse_json, security_normalized_hash, Json, ModelHash};
-use crate::{AnalysisInput, ModelPatch};
+use crate::service::hash::config_hashes;
+use crate::service::{model_hash, parse_json, Json, ModelHash};
+use crate::ModelPatch;
 
 /// One successfully imported fleet member.
 #[derive(Debug, Clone)]
 pub struct FleetMember {
     /// The imported config (name, model, property).
     pub config: ImportedConfig,
-    /// The lowered analysis input.
-    pub input: AnalysisInput,
-    /// Canonical content hash of the input.
+    /// Canonical content hash of the lowered config
+    /// ([`ImportedConfig::input`]).
     pub hash: ModelHash,
     /// Similarity cluster key (see [`ClusterKey`]).
     pub cluster: ClusterKey,
 }
 
 impl FleetMember {
-    /// Lowers an imported config and computes its content hash and
-    /// cluster key.
+    /// Computes an imported config's content hash and cluster key. Both
+    /// digests come from one walk of the config itself, the values
+    /// [`model_hash`] and [`security_normalized_hash`] give on its
+    /// lowered input, so no lowered copy is made.
+    ///
+    /// [`security_normalized_hash`]: crate::service::security_normalized_hash
     pub fn new(config: ImportedConfig) -> FleetMember {
-        let input = config.input();
+        let (hash, normalized) = config_hashes(&config.scada);
         FleetMember {
-            hash: model_hash(&input),
-            cluster: cluster_key(&input),
+            hash,
+            cluster: (normalized, path_fingerprint(&config.scada.topology)),
             config,
-            input,
         }
     }
 }
@@ -96,7 +99,7 @@ pub struct FleetScan {
 /// guards clustering against accidental hash collisions — and
 /// mis-clustering is only a performance hazard, never a correctness
 /// one, because every synthesized chain is self-validated.
-fn path_fingerprint(input: &AnalysisInput) -> u64 {
+fn path_fingerprint(topology: &Topology) -> u64 {
     const FNV_PRIME: u64 = 0x100000001b3;
     let mut h: u64 = 0xcbf29ce484222325;
     let mut mix = |x: u64| {
@@ -104,7 +107,6 @@ fn path_fingerprint(input: &AnalysisInput) -> u64 {
             h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
         }
     };
-    let topology = &input.topology;
     let n = topology.num_devices();
     let mut dist: Vec<u64> = vec![u64::MAX; n];
     let mut queue = std::collections::VecDeque::new();
@@ -131,12 +133,6 @@ fn path_fingerprint(input: &AnalysisInput) -> u64 {
         }
     }
     h
-}
-
-/// The similarity cluster key of a lowered config: its
-/// [`security_normalized_hash`] and its per-IED path-set fingerprint.
-fn cluster_key(input: &AnalysisInput) -> ClusterKey {
-    (security_normalized_hash(input), path_fingerprint(input))
 }
 
 /// Imports every config directory directly under `dir`. Non-directory
@@ -262,16 +258,15 @@ impl FleetPlan {
     }
 }
 
-/// The explicit pair-security table of an input, keyed by normalized
+/// The explicit pair-security table of a topology, keyed by normalized
 /// endpoint pair.
-fn security_map(input: &AnalysisInput) -> BTreeMap<(usize, usize), Vec<CryptoProfile>> {
-    input
-        .topology
+fn security_map(topology: &Topology) -> BTreeMap<(usize, usize), &[CryptoProfile]> {
+    topology
         .pair_security_entries()
         .map(|(a, b, profiles)| {
             (
                 (a.index().min(b.index()), a.index().max(b.index())),
-                profiles.to_vec(),
+                profiles,
             )
         })
         .collect()
@@ -281,8 +276,8 @@ fn security_map(input: &AnalysisInput) -> BTreeMap<(usize, usize), Vec<CryptoPro
 /// `cur`, or `None` when the delta layer cannot express the difference
 /// (the executor then falls back to a cold load).
 fn diff_security(prev: &FleetMember, cur: &FleetMember) -> Option<Vec<ModelPatch>> {
-    let prev_map = security_map(&prev.input);
-    let cur_map = security_map(&cur.input);
+    let prev_map = security_map(&prev.config.scada.topology);
+    let cur_map = security_map(&cur.config.scada.topology);
     // `set_profile` can add or replace an explicit entry but never
     // remove one (an empty profile list is still an explicit entry and
     // hashes differently from an absent one).
@@ -290,20 +285,20 @@ fn diff_security(prev: &FleetMember, cur: &FleetMember) -> Option<Vec<ModelPatch
         return None;
     }
     let mut patches = Vec::new();
-    for (&(a, b), profiles) in &cur_map {
-        if prev_map.get(&(a, b)) != Some(profiles) {
+    for (&(a, b), &profiles) in &cur_map {
+        if prev_map.get(&(a, b)) != Some(&profiles) {
             patches.push(ModelPatch::SetProfile {
                 a: DeviceId(a),
                 b: DeviceId(b),
-                profiles: profiles.clone(),
+                profiles: profiles.to_vec(),
             });
         }
     }
-    // Self-validate: apply the chain locally and require the content
-    // hash of the result to equal the variant's.
-    let mut shadow = prev.input.clone();
+    // Self-validate: apply the chain to one copy of the predecessor and
+    // require the content hash of the result to equal the variant's.
+    let mut shadow = prev.config.input();
     for patch in &patches {
-        shadow = patch.apply(&shadow).ok()?;
+        patch.apply_in_place(&mut shadow).ok()?;
     }
     (model_hash(&shadow) == cur.hash).then_some(patches)
 }

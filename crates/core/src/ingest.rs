@@ -48,6 +48,17 @@
 //! file/line/column) on unbalanced quotes, stray characters after a
 //! closing quote, or quotes inside unquoted fields.
 //!
+//! # Zero-copy parsing
+//!
+//! Each file is parsed once, by a byte scanner whose fields borrow the
+//! file text ([`CsvField::value`] is a `Cow`): only a quoted field with
+//! `""` escapes owns its unescaped copy. Columns count characters, not
+//! bytes, so an error after non-ASCII text points where an editor
+//! does. The importer works on a borrowed view of a config's files and
+//! looks tables, points and channel names up as `&str`; the model it
+//! builds owns everything, so the texts are dropped once a config is
+//! imported ([`import_dir`] reads them into one buffer per config).
+//!
 //! # Canonical form and fixed points
 //!
 //! [`export_files`] writes an [`ImportedConfig`] back out as a
@@ -61,13 +72,16 @@
 //! channel-directory form expresses device *kinds* but not per-device
 //! crypto attributes; models that need those are out of its scope.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::io::Read;
+use std::ops::Range;
 use std::path::Path;
 
 use powergrid::{Branch, BusId, MeasurementId, MeasurementKind, MeasurementSet, PowerSystem};
 use scadasim::{
-    CryptoProfile, Device, DeviceId, DeviceKind, Link, LinkMedium, ScadaConfig, Topology,
+    CryptoProfile, Device, DeviceId, DeviceKind, Link, LinkMedium, ScadaConfig, Topology, MAX_BUSES,
 };
 
 /// The property names a fleet config may request (`spec.csv`'s
@@ -116,190 +130,186 @@ fn err(file: &str, line: usize, column: usize, message: impl Into<String>) -> In
 
 /// One CSV field with its source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsvField {
+pub struct CsvField<'t> {
     /// 1-based line the field starts on.
     pub line: usize,
-    /// 1-based column the field starts at.
+    /// 1-based column (in characters) the field starts at.
     pub column: usize,
-    /// Decoded field value (quotes removed, `""` unescaped).
-    pub value: String,
+    /// Decoded field value (quotes removed, `""` unescaped). It borrows
+    /// the file text; only a quoted field with `""` escapes owns a copy.
+    pub value: Cow<'t, str>,
 }
 
 /// One CSV record (a non-blank line, or several lines when a quoted
 /// field spans newlines).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsvRecord {
+pub struct CsvRecord<'t> {
     /// 1-based line the record starts on.
     pub line: usize,
     /// The record's fields, left to right.
-    pub fields: Vec<CsvField>,
+    pub fields: Vec<CsvField<'t>>,
+}
+
+/// A byte cursor over CSV text that tracks the 1-based line and
+/// character column of the next byte.
+struct Cursor<'t> {
+    text: &'t str,
+    pos: usize,
+    line: usize,
+    column: usize,
+}
+
+impl<'t> Cursor<'t> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn here(&self) -> (usize, usize) {
+        (self.line, self.column)
+    }
+
+    /// Steps over one byte. A UTF-8 continuation byte does not start a
+    /// character, so it leaves the column where it is.
+    fn bump(&mut self) {
+        let byte = self.text.as_bytes()[self.pos];
+        self.pos += 1;
+        if byte == b'\n' {
+            self.line += 1;
+            self.column = 1;
+        } else if byte & 0xC0 != 0x80 {
+            self.column += 1;
+        }
+    }
+
+    /// Steps over bytes up to the next one `stop` accepts, or the end.
+    fn skip_until(&mut self, stop: impl Fn(u8) -> bool) {
+        while let Some(byte) = self.peek() {
+            if stop(byte) {
+                return;
+            }
+            self.bump();
+        }
+    }
+
+    /// Steps over a record terminator: `\n` or `\r\n`.
+    fn terminator(&mut self, file: &str) -> Result<(), IngestError> {
+        if self.peek() == Some(b'\r') {
+            if self.text.as_bytes().get(self.pos + 1) != Some(&b'\n') {
+                return Err(err(file, self.line, self.column, "bare carriage return"));
+            }
+            self.bump();
+        }
+        self.bump();
+        Ok(())
+    }
+
+    /// Reads a quoted field, the cursor on its opening quote, and
+    /// checks that a separator, terminator or the end follows it.
+    fn quoted(&mut self, file: &str) -> Result<Cow<'t, str>, IngestError> {
+        let text = self.text;
+        let (open_line, open_column) = self.here();
+        self.bump();
+        let mut unescaped: Option<String> = None;
+        let mut start = self.pos;
+        loop {
+            self.skip_until(|b| b == b'"');
+            if self.peek().is_none() {
+                return Err(err(file, open_line, open_column, "unbalanced quote"));
+            }
+            let segment = &text[start..self.pos];
+            self.bump();
+            if self.peek() == Some(b'"') {
+                let buf = unescaped.get_or_insert_with(String::new);
+                buf.push_str(segment);
+                buf.push('"');
+                self.bump();
+                start = self.pos;
+                continue;
+            }
+            if !matches!(self.peek(), None | Some(b',' | b'\r' | b'\n')) {
+                return Err(err(
+                    file,
+                    self.line,
+                    self.column,
+                    "unexpected character after closing quote",
+                ));
+            }
+            return Ok(match unescaped {
+                Some(mut buf) => {
+                    buf.push_str(segment);
+                    Cow::Owned(buf)
+                }
+                None => Cow::Borrowed(segment),
+            });
+        }
+    }
 }
 
 /// Parses strict CSV: UTF-8 BOM and CRLF line endings are tolerated,
 /// blank lines are skipped, quoted fields may contain commas, quotes
-/// (escaped `""`), and newlines.
+/// (escaped `""`), and newlines. Fields borrow `text`.
 ///
 /// # Errors
 ///
 /// Rejects, with file/line/column: unbalanced quotes, any character
 /// between a closing quote and the next separator, quotes inside
 /// unquoted fields, and bare carriage returns.
-pub fn parse_csv(file: &str, text: &str) -> Result<Vec<CsvRecord>, IngestError> {
-    #[derive(PartialEq, Clone, Copy)]
-    enum State {
-        Start,
-        Unquoted,
-        Quoted,
-        AfterQuote,
-    }
+pub fn parse_csv<'t>(file: &str, text: &'t str) -> Result<Vec<CsvRecord<'t>>, IngestError> {
     let text = text.strip_prefix('\u{feff}').unwrap_or(text);
+    let mut cur = Cursor {
+        text,
+        pos: 0,
+        line: 1,
+        column: 1,
+    };
     let mut records = Vec::new();
-    let mut fields: Vec<CsvField> = Vec::new();
-    let mut value = String::new();
-    let mut state = State::Start;
-    let (mut line, mut col) = (1usize, 1usize);
-    let mut field_pos: Option<(usize, usize)> = None;
-    let mut open_pos = (1usize, 1usize);
-    // True once the current record has seen any content (so `a,` keeps
-    // its trailing empty field while a fully blank line is skipped).
-    let mut pending = false;
-
-    let mut chars = text.chars().peekable();
-    while let Some(c) = chars.next() {
-        let here = (line, col);
-        // A CRLF pair is one record terminator; a bare CR is an error
-        // outside quotes.
-        let terminator = if c == '\r' && state != State::Quoted {
-            if chars.peek() != Some(&'\n') {
-                return Err(err(file, here.0, here.1, "bare carriage return"));
+    let mut fields: Vec<CsvField<'t>> = Vec::new();
+    loop {
+        let (line, column) = cur.here();
+        let value = match cur.peek() {
+            // Only a record's first field may be missing: the text ends
+            // or the line is blank.
+            None if fields.is_empty() => break,
+            Some(b'\r' | b'\n') if fields.is_empty() => {
+                cur.terminator(file)?;
+                continue;
             }
-            chars.next();
-            line += 1;
-            col = 1;
-            true
-        } else if c == '\n' && state != State::Quoted {
-            line += 1;
-            col = 1;
-            true
-        } else {
-            if c == '\n' {
-                line += 1;
-                col = 1;
-            } else {
-                col += 1;
-            }
-            false
-        };
-
-        if terminator {
-            match state {
-                State::Quoted => unreachable!("terminators are literal inside quotes"),
-                State::Start if fields.is_empty() && !pending => continue, // blank line
-                State::Start | State::Unquoted | State::AfterQuote => {
-                    let (fl, fc) = field_pos.unwrap_or(here);
-                    fields.push(CsvField {
-                        line: fl,
-                        column: fc,
-                        value: std::mem::take(&mut value),
-                    });
-                    records.push(CsvRecord {
-                        line: fields[0].line,
-                        fields: std::mem::take(&mut fields),
-                    });
-                    state = State::Start;
-                    field_pos = None;
-                    pending = false;
-                }
-            }
-            continue;
-        }
-
-        match state {
-            State::Start => match c {
-                '"' => {
-                    state = State::Quoted;
-                    field_pos = Some(here);
-                    open_pos = here;
-                    pending = true;
-                }
-                ',' => {
-                    let (fl, fc) = field_pos.unwrap_or(here);
-                    fields.push(CsvField {
-                        line: fl,
-                        column: fc,
-                        value: String::new(),
-                    });
-                    field_pos = None;
-                    pending = true;
-                }
-                _ => {
-                    state = State::Unquoted;
-                    field_pos = Some(here);
-                    value.push(c);
-                    pending = true;
-                }
-            },
-            State::Unquoted => match c {
-                ',' => {
-                    let (fl, fc) = field_pos.take().unwrap_or(here);
-                    fields.push(CsvField {
-                        line: fl,
-                        column: fc,
-                        value: std::mem::take(&mut value),
-                    });
-                    state = State::Start;
-                }
-                '"' => {
-                    return Err(err(file, here.0, here.1, "quote inside unquoted field"));
-                }
-                _ => value.push(c),
-            },
-            State::Quoted => match c {
-                '"' => state = State::AfterQuote,
-                _ => value.push(c),
-            },
-            State::AfterQuote => match c {
-                '"' => {
-                    value.push('"');
-                    state = State::Quoted;
-                }
-                ',' => {
-                    let (fl, fc) = field_pos.take().unwrap_or(here);
-                    fields.push(CsvField {
-                        line: fl,
-                        column: fc,
-                        value: std::mem::take(&mut value),
-                    });
-                    state = State::Start;
-                }
-                _ => {
+            Some(b'"') => cur.quoted(file)?,
+            None | Some(b',' | b'\r' | b'\n') => Cow::Borrowed(""),
+            Some(_) => {
+                let start = cur.pos;
+                cur.skip_until(|b| matches!(b, b',' | b'\r' | b'\n' | b'"'));
+                if cur.peek() == Some(b'"') {
                     return Err(err(
                         file,
-                        here.0,
-                        here.1,
-                        "unexpected character after closing quote",
+                        cur.line,
+                        cur.column,
+                        "quote inside unquoted field",
                     ));
                 }
-            },
+                Cow::Borrowed(&text[start..cur.pos])
+            }
+        };
+        fields.push(CsvField {
+            line,
+            column,
+            value,
+        });
+        if cur.peek() == Some(b',') {
+            cur.bump();
+            continue;
         }
-    }
-
-    match state {
-        State::Quoted => {
-            return Err(err(file, open_pos.0, open_pos.1, "unbalanced quote"));
+        let at_end = cur.peek().is_none();
+        if !at_end {
+            cur.terminator(file)?;
         }
-        State::Start if fields.is_empty() && !pending => {}
-        State::Start | State::Unquoted | State::AfterQuote => {
-            let (fl, fc) = field_pos.unwrap_or((line, col));
-            fields.push(CsvField {
-                line: fl,
-                column: fc,
-                value,
-            });
-            records.push(CsvRecord {
-                line: fields[0].line,
-                fields,
-            });
+        let width = fields.len();
+        records.push(CsvRecord {
+            line: fields[0].line,
+            fields: std::mem::replace(&mut fields, Vec::with_capacity(width)),
+        });
+        if at_end {
+            break;
         }
     }
     Ok(records)
@@ -307,7 +317,11 @@ pub fn parse_csv(file: &str, text: &str) -> Result<Vec<CsvRecord>, IngestError> 
 
 /// Parses a CSV table: validates the header row and that every data
 /// row has exactly the header's arity, returning the data rows.
-fn table(file: &str, text: &str, header: &[&str]) -> Result<Vec<CsvRecord>, IngestError> {
+fn table<'t>(
+    file: &str,
+    text: &'t str,
+    header: &[&str],
+) -> Result<Vec<CsvRecord<'t>>, IngestError> {
     let mut records = parse_csv(file, text)?;
     if records.is_empty() {
         return Err(err(
@@ -381,7 +395,7 @@ fn parse_float(file: &str, field: &CsvField, what: &str) -> Result<f64, IngestEr
             format!("bad {what} `{v}` (expected a JSON-grammar number)"),
         )
     };
-    let mut s = v.as_str();
+    let mut s: &str = v;
     s = s.strip_prefix('-').unwrap_or(s);
     let int_len = s.bytes().take_while(|b| b.is_ascii_digit()).count();
     if int_len == 0 || (int_len > 1 && s.starts_with('0')) {
@@ -417,11 +431,12 @@ fn parse_float(file: &str, field: &CsvField, what: &str) -> Result<f64, IngestEr
 /// directory.
 ///
 /// Invariant (established by [`import_files`] / [`from_scada`],
-/// assumed by [`export_files`]): the model is in *canonical
-/// channel-directory form* — global measurement ids follow (IED id
-/// order, per-IED recording order), every measurement is recorded by
-/// exactly one IED, and every link's `a` endpoint is the
-/// higher-numbered device.
+/// assumed by [`export_files`] and [`ImportedConfig::input`]): the
+/// model is in *canonical channel-directory form* — global measurement
+/// ids follow (IED id order, per-IED recording order), every
+/// measurement is recorded by exactly one IED, every link's `a`
+/// endpoint is the higher-numbered device — and its topology passes
+/// [`Topology::validate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ImportedConfig {
     /// Config name (the directory name).
@@ -433,9 +448,13 @@ pub struct ImportedConfig {
 }
 
 impl ImportedConfig {
-    /// The analysis input for this config.
+    /// The analysis input for this config: what
+    /// `AnalysisInput::from(self.scada.clone())` gives, without checking
+    /// the topology and association again (the invariant above covers
+    /// them).
     pub fn input(&self) -> crate::AnalysisInput {
-        crate::AnalysisInput::from(self.scada.clone())
+        let scada = self.scada.clone();
+        crate::AnalysisInput::from_valid(scada.measurements, scada.topology, scada.ied_measurements)
     }
 }
 
@@ -455,7 +474,7 @@ fn ignored(name: &str) -> bool {
 }
 
 fn parse_kind(file: &str, field: &CsvField) -> Result<DeviceKind, IngestError> {
-    match field.value.as_str() {
+    match &*field.value {
         "master" => Ok(DeviceKind::Mtu),
         "rtu" => Ok(DeviceKind::Rtu),
         "ied" => Ok(DeviceKind::Ied),
@@ -470,7 +489,7 @@ fn parse_kind(file: &str, field: &CsvField) -> Result<DeviceKind, IngestError> {
 }
 
 fn parse_medium(file: &str, field: &CsvField) -> Result<LinkMedium, IngestError> {
-    match field.value.as_str() {
+    match &*field.value {
         "ethernet" => Ok(LinkMedium::Ethernet),
         "wireless" => Ok(LinkMedium::Wireless),
         "serial" => Ok(LinkMedium::Serial),
@@ -485,9 +504,37 @@ fn parse_medium(file: &str, field: &CsvField) -> Result<LinkMedium, IngestError>
 }
 
 /// One parsed manifest row.
-struct ChannelRow {
-    name: String,
+struct ChannelRow<'r> {
+    name: &'r str,
     kind: DeviceKind,
+}
+
+/// A config's files as borrowed `(relative path, text)` pairs, sorted
+/// by path.
+struct Files<'a> {
+    entries: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Files<'a> {
+    fn get(&self, path: &str) -> Option<&'a str> {
+        self.entries
+            .binary_search_by(|&(p, _)| p.cmp(path))
+            .ok()
+            .map(|i| self.entries[i].1)
+    }
+
+    /// The file `leaf` of channel directory `dir`, as `(path, text)`.
+    fn get_in(&self, dir: &str, leaf: &str) -> Option<(&'a str, &'a str)> {
+        let key = || dir.bytes().chain(Some(b'/')).chain(leaf.bytes());
+        self.entries
+            .binary_search_by(|&(p, _)| p.bytes().cmp(key()))
+            .ok()
+            .map(|i| self.entries[i])
+    }
+
+    fn paths(&self) -> impl Iterator<Item = &'a str> + '_ {
+        self.entries.iter().map(|&(p, _)| p)
+    }
 }
 
 /// Imports one config from an abstract file map (relative `/`-separated
@@ -503,27 +550,38 @@ pub fn import_files(
     name: &str,
     files: &BTreeMap<String, String>,
 ) -> Result<ImportedConfig, IngestError> {
+    let entries = files.iter().map(|(p, t)| (p.as_str(), t.as_str()));
+    import_view(
+        name,
+        &Files {
+            entries: entries.collect(),
+        },
+    )
+}
+
+/// [`import_files`] over a borrowed file view.
+fn import_view(name: &str, files: &Files<'_>) -> Result<ImportedConfig, IngestError> {
     // --- channels.csv: devices and links -----------------------------
     let manifest = files
         .get(CHANNELS)
         .ok_or_else(|| err(CHANNELS, 0, 0, "missing channel manifest"))?;
-    let rows = table(
+    let channel_rows = table(
         CHANNELS,
         manifest,
         &["channel", "kind", "uplink", "transport", "bandwidth_kbps"],
     )?;
-    if rows.is_empty() {
+    if channel_rows.is_empty() {
         return Err(err(CHANNELS, 0, 0, "no channels declared"));
     }
-    let mut channels: Vec<ChannelRow> = Vec::with_capacity(rows.len());
-    let mut by_name: BTreeMap<String, usize> = BTreeMap::new();
+    let mut channels: Vec<ChannelRow> = Vec::with_capacity(channel_rows.len());
+    let mut by_name: HashMap<&str, usize> = HashMap::with_capacity(channel_rows.len());
     let mut links: Vec<Link> = Vec::new();
-    let mut link_pairs: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    for (index, row) in rows.iter().enumerate() {
+    let mut link_pairs: HashSet<(usize, usize)> = HashSet::new();
+    for (index, row) in channel_rows.iter().enumerate() {
         let [name_f, kind_f, uplink_f, transport_f, bandwidth_f] = &row.fields[..] else {
             unreachable!("table checked arity");
         };
-        let cname = name_f.value.clone();
+        let cname: &str = &name_f.value;
         if cname.is_empty()
             || !cname
                 .bytes()
@@ -536,7 +594,7 @@ pub fn import_files(
                 format!("bad channel name `{cname}` (use [A-Za-z0-9_-]+)"),
             ));
         }
-        if by_name.insert(cname.clone(), index).is_some() {
+        if by_name.insert(cname, index).is_some() {
             return Err(err(
                 CHANNELS,
                 name_f.line,
@@ -572,8 +630,7 @@ pub fn import_files(
                     format!("channel `{cname}` links to itself"),
                 ));
             }
-            let norm = (peer_index.min(index), peer_index.max(index));
-            if link_pairs.insert(norm, row.line).is_some() {
+            if !link_pairs.insert((peer_index.min(index), peer_index.max(index))) {
                 return Err(err(
                     CHANNELS,
                     uplink_f.line,
@@ -606,14 +663,14 @@ pub fn import_files(
     let grid = files
         .get(GRID)
         .ok_or_else(|| err(GRID, 0, 0, "missing grid table"))?;
-    let rows = table(GRID, grid, &["element", "a", "b", "susceptance"])?;
+    let grid_rows = table(GRID, grid, &["element", "a", "b", "susceptance"])?;
     let mut n_buses: Option<usize> = None;
     let mut line_rows: Vec<(&CsvRecord, usize, usize, f64)> = Vec::new();
-    for row in &rows {
+    for row in &grid_rows {
         let [element_f, a_f, b_f, s_f] = &row.fields[..] else {
             unreachable!("table checked arity");
         };
-        match element_f.value.as_str() {
+        match &*element_f.value {
             "bus" => {
                 if n_buses.is_some() {
                     return Err(err(GRID, row.line, element_f.column, "duplicate bus row"));
@@ -633,6 +690,14 @@ pub fn import_files(
                         a_f.line,
                         a_f.column,
                         "bus count must be positive",
+                    ));
+                }
+                if count > MAX_BUSES {
+                    return Err(err(
+                        GRID,
+                        a_f.line,
+                        a_f.column,
+                        format!("bus count {count} exceeds the limit of {MAX_BUSES}"),
                     ));
                 }
                 n_buses = Some(count);
@@ -673,7 +738,7 @@ pub fn import_files(
         }
     }
     let n_buses = n_buses.ok_or_else(|| err(GRID, 0, 0, "missing `bus,<n>,,` row"))?;
-    let mut seen_lines: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+    let mut seen_lines: HashSet<(usize, usize)> = HashSet::with_capacity(line_rows.len());
     // Branches are constructed only after every row has been validated
     // against the (possibly later-declared) bus count: `Branch::new`
     // asserts, and an assert on config input would abort a fleet scan
@@ -690,10 +755,7 @@ pub fn import_files(
                 ));
             }
         }
-        if seen_lines
-            .insert(((*a).min(*b), (*a).max(*b)), row.line)
-            .is_some()
-        {
+        if !seen_lines.insert(((*a).min(*b), (*a).max(*b))) {
             return Err(err(
                 GRID,
                 row.line,
@@ -713,17 +775,17 @@ pub fn import_files(
     let spec = files
         .get(SPEC)
         .ok_or_else(|| err(SPEC, 0, 0, "missing spec table"))?;
-    let rows = table(SPEC, spec, &["key", "value"])?;
-    let mut seen: BTreeMap<String, usize> = BTreeMap::new();
+    let spec_rows = table(SPEC, spec, &["key", "value"])?;
+    let mut seen: HashSet<&str> = HashSet::new();
     let mut resilience = (None::<usize>, None::<usize>);
     let mut corrupted: Option<usize> = None;
     let mut link_failures = 0usize;
-    let mut property = "secured".to_string();
-    for row in &rows {
+    let mut property = "secured";
+    for row in &spec_rows {
         let [key_f, value_f] = &row.fields[..] else {
             unreachable!("table checked arity");
         };
-        if seen.insert(key_f.value.clone(), row.line).is_some() {
+        if !seen.insert(&key_f.value) {
             return Err(err(
                 SPEC,
                 key_f.line,
@@ -731,13 +793,13 @@ pub fn import_files(
                 format!("duplicate key `{}`", key_f.value),
             ));
         }
-        match key_f.value.as_str() {
+        match &*key_f.value {
             "resilience_ieds" => resilience.0 = Some(parse_count(SPEC, value_f, "count")?),
             "resilience_rtus" => resilience.1 = Some(parse_count(SPEC, value_f, "count")?),
             "corrupted" => corrupted = Some(parse_count(SPEC, value_f, "count")?),
             "link_failures" => link_failures = parse_count(SPEC, value_f, "count")?,
             "property" => {
-                if !PROPERTIES.contains(&value_f.value.as_str()) {
+                if !PROPERTIES.contains(&&*value_f.value) {
                     return Err(err(
                         SPEC,
                         value_f.line,
@@ -748,7 +810,7 @@ pub fn import_files(
                         ),
                     ));
                 }
-                property = value_f.value.clone();
+                property = &value_f.value;
             }
             other => {
                 return Err(err(
@@ -777,12 +839,11 @@ pub fn import_files(
     // duplicating another point's measurement — within one IED or
     // across IEDs — fails here with an addressed error instead of
     // tripping `MeasurementSet::new`'s duplicate assert.
-    let mut seen_kinds: std::collections::HashMap<MeasurementKind, (String, usize)> =
-        std::collections::HashMap::new();
+    let mut seen_kinds: HashMap<MeasurementKind, (&str, usize)> = HashMap::new();
     // Every directory holding a file that is not ignored: each `/` in
     // a key ends a candidate channel name.
     let dirs_with_files: BTreeSet<&str> = files
-        .keys()
+        .paths()
         .flat_map(|k| {
             k.match_indices('/')
                 .filter(|&(i, _)| !ignored(&k[i + 1..]))
@@ -790,76 +851,66 @@ pub fn import_files(
         })
         .collect();
     for (index, channel) in channels.iter().enumerate() {
-        let prefix = format!("{}/", channel.name);
         if channel.kind != DeviceKind::Ied {
-            if dirs_with_files.contains(channel.name.as_str()) {
+            if dirs_with_files.contains(channel.name) {
                 return Err(err(
                     CHANNELS,
                     0,
                     0,
                     format!(
-                        "channel `{}` is not an IED but has point tables under `{prefix}`",
+                        "channel `{0}` is not an IED but has point tables under `{0}/`",
                         channel.name
                     ),
                 ));
             }
             continue;
         }
-        let tele_path = format!("{prefix}{TELEMETRY}");
-        let map_path = format!("{prefix}{MAPPING}");
-        let telemetry = files
-            .get(&tele_path)
-            .ok_or_else(|| err(&tele_path, 0, 0, "missing telemetry point table"))?;
-        let mapping = files
-            .get(&map_path)
-            .ok_or_else(|| err(&map_path, 0, 0, "missing telemetry mapping table"))?;
-        let tele_rows = table(&tele_path, telemetry, &["point", "description"])?;
-        let mut points: Vec<String> = Vec::with_capacity(tele_rows.len());
-        let mut point_index: BTreeMap<String, usize> = BTreeMap::new();
+        let missing = |leaf: &str, what: &str| err(&format!("{}/{leaf}", channel.name), 0, 0, what);
+        let (tele_path, telemetry) = files
+            .get_in(channel.name, TELEMETRY)
+            .ok_or_else(|| missing(TELEMETRY, "missing telemetry point table"))?;
+        let (map_path, mapping) = files
+            .get_in(channel.name, MAPPING)
+            .ok_or_else(|| missing(MAPPING, "missing telemetry mapping table"))?;
+        let tele_rows = table(tele_path, telemetry, &["point", "description"])?;
+        let mut points: Vec<&str> = Vec::with_capacity(tele_rows.len());
+        let mut point_index: HashMap<&str, usize> = HashMap::with_capacity(tele_rows.len());
         for row in &tele_rows {
             let point = &row.fields[0];
             if point.value.is_empty() {
-                return Err(err(
-                    &tele_path,
-                    point.line,
-                    point.column,
-                    "empty point name",
-                ));
+                return Err(err(tele_path, point.line, point.column, "empty point name"));
             }
-            if point_index
-                .insert(point.value.clone(), points.len())
-                .is_some()
-            {
+            if point_index.insert(&point.value, points.len()).is_some() {
                 return Err(err(
-                    &tele_path,
+                    tele_path,
                     point.line,
                     point.column,
                     format!("duplicate point `{}`", point.value),
                 ));
             }
-            points.push(point.value.clone());
+            points.push(&point.value);
         }
-        let map_rows = table(&map_path, mapping, &["point", "kind", "a", "b"])?;
+        let map_rows = table(map_path, mapping, &["point", "kind", "a", "b"])?;
         let mut mapped: Vec<Option<MeasurementKind>> = vec![None; points.len()];
         for row in &map_rows {
             let [point_f, kind_f, a_f, b_f] = &row.fields[..] else {
                 unreachable!("table checked arity");
             };
-            let Some(&pi) = point_index.get(&point_f.value) else {
+            let Some(&pi) = point_index.get(&*point_f.value) else {
                 return Err(err(
-                    &map_path,
+                    map_path,
                     point_f.line,
                     point_f.column,
                     format!("unknown point `{}` (not in {TELEMETRY})", point_f.value),
                 ));
             };
-            let kind = match kind_f.value.as_str() {
+            let kind = match &*kind_f.value {
                 "flow" => {
-                    let a = parse_count(&map_path, a_f, "bus")?;
-                    let b = parse_count(&map_path, b_f, "bus")?;
+                    let a = parse_count(map_path, a_f, "bus")?;
+                    let b = parse_count(map_path, b_f, "bus")?;
                     if a == 0 || a > n_buses || b == 0 || b > n_buses {
                         return Err(err(
-                            &map_path,
+                            map_path,
                             a_f.line,
                             a_f.column,
                             format!("bus out of range 1..={n_buses}"),
@@ -869,7 +920,7 @@ pub fn import_files(
                     let to = BusId::from_one_based(b);
                     let branch = system.branch_between(from, to).ok_or_else(|| {
                         err(
-                            &map_path,
+                            map_path,
                             a_f.line,
                             a_f.column,
                             format!("no line between bus {a} and bus {b}"),
@@ -884,10 +935,10 @@ pub fn import_files(
                     }
                 }
                 "injection" => {
-                    let a = parse_count(&map_path, a_f, "bus")?;
+                    let a = parse_count(map_path, a_f, "bus")?;
                     if a == 0 || a > n_buses {
                         return Err(err(
-                            &map_path,
+                            map_path,
                             a_f.line,
                             a_f.column,
                             format!("bus out of range 1..={n_buses}"),
@@ -895,7 +946,7 @@ pub fn import_files(
                     }
                     if !b_f.value.is_empty() {
                         return Err(err(
-                            &map_path,
+                            map_path,
                             b_f.line,
                             b_f.column,
                             "injection rows take one bus: `point,injection,<bus>,`",
@@ -905,7 +956,7 @@ pub fn import_files(
                 }
                 other => {
                     return Err(err(
-                        &map_path,
+                        map_path,
                         kind_f.line,
                         kind_f.column,
                         format!("unknown measurement kind `{other}` (expected flow|injection)"),
@@ -914,17 +965,15 @@ pub fn import_files(
             };
             if mapped[pi].replace(kind).is_some() {
                 return Err(err(
-                    &map_path,
+                    map_path,
                     point_f.line,
                     point_f.column,
                     format!("point `{}` mapped twice", point_f.value),
                 ));
             }
-            if let Some((first_file, first_line)) =
-                seen_kinds.insert(kind, (map_path.clone(), row.line))
-            {
+            if let Some((first_file, first_line)) = seen_kinds.insert(kind, (map_path, row.line)) {
                 return Err(err(
-                    &map_path,
+                    map_path,
                     point_f.line,
                     point_f.column,
                     format!(
@@ -939,7 +988,7 @@ pub fn import_files(
         for (pi, kind) in mapped.into_iter().enumerate() {
             let kind = kind.ok_or_else(|| {
                 err(
-                    &map_path,
+                    map_path,
                     0,
                     0,
                     format!("point `{}` has no mapping row", points[pi]),
@@ -952,18 +1001,17 @@ pub fn import_files(
             ied_measurements.push((DeviceId(index), ids));
         }
         for shape in SHAPE_ONLY {
-            if let Some(text) = files.get(&format!("{prefix}{shape}")) {
-                let path = format!("{prefix}{shape}");
-                let rows = table(&path, text, &["point", "description"])?;
-                let mut names: BTreeMap<String, usize> = BTreeMap::new();
+            if let Some((path, text)) = files.get_in(channel.name, shape) {
+                let rows = table(path, text, &["point", "description"])?;
+                let mut names: HashSet<&str> = HashSet::with_capacity(rows.len());
                 for row in &rows {
                     let point = &row.fields[0];
                     if point.value.is_empty() {
-                        return Err(err(&path, point.line, point.column, "empty point name"));
+                        return Err(err(path, point.line, point.column, "empty point name"));
                     }
-                    if names.insert(point.value.clone(), row.line).is_some() {
+                    if !names.insert(&point.value) {
                         return Err(err(
-                            &path,
+                            path,
                             point.line,
                             point.column,
                             format!("duplicate point `{}`", point.value),
@@ -984,13 +1032,13 @@ pub fn import_files(
     let mut topology = Topology::new(devices, links);
     if let Some(text) = files.get(SECURITY) {
         let rows = table(SECURITY, text, &["a", "b", "profiles"])?;
-        let mut pairs: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+        let mut pairs: HashSet<(usize, usize)> = HashSet::with_capacity(rows.len());
         for row in &rows {
             let [a_f, b_f, profiles_f] = &row.fields[..] else {
                 unreachable!("table checked arity");
             };
             let resolve = |f: &CsvField| -> Result<usize, IngestError> {
-                by_name.get(&f.value).copied().ok_or_else(|| {
+                by_name.get(&*f.value).copied().ok_or_else(|| {
                     err(
                         SECURITY,
                         f.line,
@@ -1009,7 +1057,7 @@ pub fn import_files(
                     "security pair endpoints must differ",
                 ));
             }
-            if pairs.insert((a.min(b), a.max(b)), row.line).is_some() {
+            if !pairs.insert((a.min(b), a.max(b))) {
                 return Err(err(
                     SECURITY,
                     a_f.line,
@@ -1039,7 +1087,7 @@ pub fn import_files(
     }
 
     // --- unexpected files --------------------------------------------
-    for path in files.keys() {
+    for path in files.paths() {
         let mut parts = path.split('/');
         let (first, second, rest) = (parts.next().unwrap_or(""), parts.next(), parts.next());
         if rest.is_some() {
@@ -1098,7 +1146,7 @@ pub fn import_files(
             corrupted,
             link_failures,
         },
-        property,
+        property: property.to_string(),
     })
 }
 
@@ -1109,6 +1157,41 @@ fn is_dir(entry: &std::fs::DirEntry) -> bool {
         Ok(kind) if !kind.is_symlink() => kind.is_dir(),
         _ => entry.path().is_dir(),
     }
+}
+
+/// The entries of a directory the importer does not ignore, as
+/// `(name, is_dir)` sorted by name.
+fn list_dir(dir: &Path) -> std::io::Result<Vec<(String, bool)>> {
+    let mut entries = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry
+            .file_name()
+            .into_string()
+            .unwrap_or_else(|raw| raw.to_string_lossy().into_owned());
+        if !ignored(&name) {
+            let dir = is_dir(&entry);
+            entries.push((name, dir));
+        }
+    }
+    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    Ok(entries)
+}
+
+/// Spare capacity reserved before each read: config files are small,
+/// so one `read` call fills it and a second confirms the end.
+const READ_RESERVE: usize = 8 * 1024;
+
+/// Appends a file's text to `buf` and returns its byte range there.
+fn read_into(path: &Path, buf: &mut String) -> std::io::Result<Range<usize>> {
+    let start = buf.len();
+    buf.reserve(READ_RESERVE);
+    // `take` hides the size hint that `File::read_to_string` would
+    // spend an `fstat` and an `lseek` on; the reserve makes it moot.
+    std::fs::File::open(path)?
+        .take(u64::MAX)
+        .read_to_string(buf)?;
+    Ok(start..buf.len())
 }
 
 /// Imports one config directory from disk. The config name is the
@@ -1123,49 +1206,50 @@ pub fn import_dir(dir: &Path) -> Result<ImportedConfig, IngestError> {
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| "config".to_string());
-    let mut files = BTreeMap::new();
     let read_err = |path: &str, e: std::io::Error| err(path, 0, 0, format!("cannot read: {e}"));
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| err(&name, 0, 0, format!("cannot read: {e}")))?;
-    let mut top: Vec<std::fs::DirEntry> = entries
-        .collect::<Result<_, _>>()
-        .map_err(|e| err(&name, 0, 0, format!("cannot read: {e}")))?;
-    top.sort_by_key(|e| e.file_name());
-    for entry in top {
-        let entry_name = entry.file_name().to_string_lossy().into_owned();
-        if ignored(&entry_name) {
-            continue;
-        }
-        let path = entry.path();
-        if is_dir(&entry) {
-            let inner = std::fs::read_dir(&path).map_err(|e| read_err(&entry_name, e))?;
-            let mut leaves: Vec<std::fs::DirEntry> = inner
-                .collect::<Result<_, _>>()
-                .map_err(|e| read_err(&entry_name, e))?;
-            leaves.sort_by_key(|e| e.file_name());
-            for leaf in leaves {
-                let leaf_name = leaf.file_name().to_string_lossy().into_owned();
-                if ignored(&leaf_name) {
-                    continue;
-                }
-                let rel = format!("{entry_name}/{leaf_name}");
-                if is_dir(&leaf) {
+    let top = list_dir(dir).map_err(|e| read_err(&name, e))?;
+    // Every file's relative path, and every file's text, back to back
+    // in one buffer each; `spans` holds the two ranges per file.
+    let mut paths = String::new();
+    let mut texts = String::new();
+    let mut spans: Vec<(Range<usize>, Range<usize>)> = Vec::new();
+    let mut path = dir.to_path_buf();
+    for (entry, entry_is_dir) in &top {
+        path.push(entry);
+        if *entry_is_dir {
+            for (leaf, leaf_is_dir) in list_dir(&path).map_err(|e| read_err(entry, e))? {
+                let start = paths.len();
+                paths.push_str(entry);
+                paths.push('/');
+                paths.push_str(&leaf);
+                let rel = start..paths.len();
+                if leaf_is_dir {
                     return Err(err(
-                        &rel,
+                        &paths[rel],
                         0,
                         0,
                         "unexpected nesting (configs are one level deep)",
                     ));
                 }
-                let text = std::fs::read_to_string(leaf.path()).map_err(|e| read_err(&rel, e))?;
-                files.insert(rel, text);
+                path.push(&leaf);
+                let text = read_into(&path, &mut texts);
+                path.pop();
+                spans.push((rel.clone(), text.map_err(|e| read_err(&paths[rel], e))?));
             }
         } else {
-            let text = std::fs::read_to_string(&path).map_err(|e| read_err(&entry_name, e))?;
-            files.insert(entry_name, text);
+            let start = paths.len();
+            paths.push_str(entry);
+            let text = read_into(&path, &mut texts).map_err(|e| read_err(entry, e))?;
+            spans.push((start..paths.len(), text));
         }
+        path.pop();
     }
-    import_files(&name, &files)
+    let mut entries: Vec<(&str, &str)> = spans
+        .into_iter()
+        .map(|(p, t)| (&paths[p], &texts[t]))
+        .collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    import_view(&name, &Files { entries })
 }
 
 /// Quotes a CSV field if it needs quoting.
@@ -1350,7 +1434,8 @@ pub fn export_dir(config: &ImportedConfig, dir: &Path) -> Result<(), IngestError
 /// Rejects models the channel-directory form cannot express: no or
 /// multiple MTUs, retired devices or per-device crypto attributes,
 /// self/duplicate links, heterogeneous transports among one device's
-/// declared links, measurements recorded by no IED or more than once.
+/// declared links, measurements recorded by no IED, by a non-IED or
+/// more than once, and topologies [`Topology::validate`] rejects.
 pub fn from_scada(
     name: &str,
     scada: &ScadaConfig,
@@ -1433,6 +1518,12 @@ pub fn from_scada(
     let mut new_id: Vec<Option<usize>> = vec![None; total];
     let mut order: Vec<MeasurementId> = Vec::with_capacity(total);
     for (ied, ids) in &entries {
+        if topology.devices().get(ied.index()).map(Device::kind) != Some(DeviceKind::Ied) {
+            return Err(reject(format!(
+                "device {} records measurements but is not an IED",
+                ied.one_based()
+            )));
+        }
         for id in ids {
             if id.index() >= total {
                 return Err(reject(format!(
@@ -1489,6 +1580,9 @@ pub fn from_scada(
         }
         new_topology.set_pair_security(a, b, profiles.to_vec());
     }
+    if let Some(problem) = new_topology.validate().first() {
+        return Err(reject(format!("invalid topology: {problem:?}")));
+    }
 
     Ok(ImportedConfig {
         name: name.to_string(),
@@ -1508,8 +1602,8 @@ pub fn from_scada(
 mod tests {
     use super::*;
 
-    fn fields(record: &CsvRecord) -> Vec<&str> {
-        record.fields.iter().map(|f| f.value.as_str()).collect()
+    fn fields<'r>(record: &'r CsvRecord) -> Vec<&'r str> {
+        record.fields.iter().map(|f| &*f.value).collect()
     }
 
     #[test]
@@ -1572,10 +1666,10 @@ mod tests {
 
     #[test]
     fn numbers_are_strict() {
-        let f = |v: &str| CsvField {
+        let f = |v: &'static str| CsvField {
             line: 1,
             column: 1,
-            value: v.to_string(),
+            value: v.into(),
         };
         assert_eq!(parse_count("t", &f("42"), "n").unwrap(), 42);
         assert!(parse_count("t", &f("042"), "n").is_err());

@@ -38,23 +38,50 @@ impl AnalysisInput {
         topology: Topology,
         ied_measurements: Vec<(DeviceId, Vec<MeasurementId>)>,
     ) -> AnalysisInput {
+        AnalysisInput::checked(measurements, topology, ied_measurements)
+            .unwrap_or_else(|problem| panic!("{problem}"))
+    }
+
+    /// [`AnalysisInput::new`], returning what it would panic on as an
+    /// error: for parts that come from outside the program.
+    pub(crate) fn checked(
+        measurements: MeasurementSet,
+        topology: Topology,
+        ied_measurements: Vec<(DeviceId, Vec<MeasurementId>)>,
+    ) -> Result<AnalysisInput, String> {
         let errors = topology.validate();
-        assert!(errors.is_empty(), "invalid topology: {errors:?}");
+        if !errors.is_empty() {
+            return Err(format!("invalid topology: {errors:?}"));
+        }
         let mut recorded_by = vec![None; measurements.len()];
         for (ied, ms) in &ied_measurements {
-            assert_eq!(
-                topology.device(*ied).kind(),
-                DeviceKind::Ied,
-                "{ied} records measurements but is not an IED"
-            );
+            if topology.devices().get(ied.index()).map(|d| d.kind()) != Some(DeviceKind::Ied) {
+                return Err(format!("{ied} records measurements but is not an IED"));
+            }
             for m in ms {
-                assert!(m.index() < measurements.len(), "unknown measurement {m}");
-                assert!(
-                    recorded_by[m.index()].replace(*ied).is_none(),
-                    "measurement {m} recorded twice"
-                );
+                if m.index() >= measurements.len() {
+                    return Err(format!("unknown measurement {m}"));
+                }
+                if recorded_by[m.index()].replace(*ied).is_some() {
+                    return Err(format!("measurement {m} recorded twice"));
+                }
             }
         }
+        Ok(AnalysisInput::from_valid(
+            measurements,
+            topology,
+            ied_measurements,
+        ))
+    }
+
+    /// [`AnalysisInput::new`] for parts already known to pass its
+    /// checks, without running them again (the channel-directory
+    /// importer checks the topology and association itself).
+    pub(crate) fn from_valid(
+        measurements: MeasurementSet,
+        topology: Topology,
+        ied_measurements: Vec<(DeviceId, Vec<MeasurementId>)>,
+    ) -> AnalysisInput {
         AnalysisInput {
             measurements,
             topology,

@@ -23,7 +23,9 @@
 //!
 //! Application is validating and copy-on-write: [`ModelPatch::apply`]
 //! clones, mutates, re-validates the topology, and only then returns the
-//! new input, so a rejected patch leaves no trace.
+//! new input, so a rejected patch leaves no trace. A
+//! [`ModelPatch::SetProfile`] needs no re-validation (see
+//! [`ModelPatch::apply`]).
 
 use std::fmt;
 
@@ -128,6 +130,13 @@ impl ModelPatch {
     /// Applies the patch to a copy of `input`, validates the result, and
     /// returns the new input.
     ///
+    /// A `SetProfile` result is not re-validated: it only inserts or
+    /// replaces one pair's entry, and an entry makes its pair
+    /// crypto-compatible ([`scadasim::Topology::crypto_pairing`]), so no
+    /// hop closes. Devices, links and the MTU are unchanged, and every
+    /// IED keeps its paths: no check of
+    /// [`scadasim::Topology::validate`] can newly fail.
+    ///
     /// # Errors
     ///
     /// Any ill-formed patch (unknown ids, retiring the MTU or an already
@@ -135,8 +144,18 @@ impl ModelPatch {
     /// valid topology (e.g. a rewire that strands a live IED) is
     /// rejected, leaving `input` untouched.
     pub fn apply(&self, input: &AnalysisInput) -> Result<AnalysisInput, PatchError> {
+        let mut next = input.clone();
+        self.apply_in_place(&mut next)?;
+        Ok(next)
+    }
+
+    /// [`ModelPatch::apply`] on `next` itself. A patch rejected by the
+    /// final validation leaves `next` mutated, so callers that must keep
+    /// the model apply to a copy.
+    pub(crate) fn apply_in_place(&self, next: &mut AnalysisInput) -> Result<(), PatchError> {
+        let devices = next.topology.num_devices();
         let check_id = |id: DeviceId| -> Result<(), PatchError> {
-            if id.index() >= input.topology.num_devices() {
+            if id.index() >= devices {
                 return Err(PatchError::new(format!(
                     "unknown device {}",
                     id.one_based()
@@ -144,7 +163,6 @@ impl ModelPatch {
             }
             Ok(())
         };
-        let mut next = input.clone();
         match self {
             ModelPatch::AddDevice { kind, peers } => {
                 if *kind == DeviceKind::Mtu {
@@ -164,7 +182,7 @@ impl ModelPatch {
             }
             ModelPatch::RemoveDevice { id } => {
                 check_id(*id)?;
-                let device = input.topology.device(*id);
+                let device = next.topology.device(*id);
                 if device.kind() == DeviceKind::Mtu {
                     return Err(PatchError::new("cannot remove the MTU"));
                 }
@@ -185,7 +203,7 @@ impl ModelPatch {
                 next.topology.set_pair_security(*a, *b, profiles.clone());
             }
             ModelPatch::RewireLink { link, a, b } => {
-                if *link >= input.topology.links().len() {
+                if *link >= next.topology.links().len() {
                     return Err(PatchError::new(format!("unknown link {link}")));
                 }
                 check_id(*a)?;
@@ -196,11 +214,14 @@ impl ModelPatch {
                 next.topology.rewire_link(*link, *a, *b);
             }
         }
+        if matches!(self, ModelPatch::SetProfile { .. }) {
+            return Ok(());
+        }
         let errors = next.topology.validate();
         if let Some(first) = errors.first() {
             return Err(PatchError::new(format!("patch breaks the model: {first}")));
         }
-        Ok(next)
+        Ok(())
     }
 }
 

@@ -266,7 +266,7 @@ pub fn serve_event_loop<H: LineHandler>(
                     guard.recv()
                 };
                 let Ok(job) = job else { break };
-                let response = engine.handle_line(&job.line);
+                let response = super::server::handle_caught(&*engine, &job.line);
                 let _ = done_tx.send(Completion {
                     conn: job.conn,
                     seq: job.seq,

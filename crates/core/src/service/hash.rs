@@ -21,8 +21,13 @@
 //! threat model is accidental collision between configurations, not an
 //! adversary crafting one.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::str::FromStr;
+use std::sync::LazyLock;
+
+use powergrid::{MeasurementId, MeasurementSet};
+use scadasim::paths::PathLimits;
+use scadasim::{DeviceId, ScadaConfig, SecurityPolicy, Topology};
 
 use crate::input::AnalysisInput;
 use crate::patch::ModelPatch;
@@ -108,6 +113,13 @@ impl Mix {
         self.byte(u8::from(x));
     }
 
+    /// A value's `Debug` rendering as a string, formatted into `scratch`.
+    fn debug(&mut self, scratch: &mut String, x: &impl fmt::Debug) {
+        scratch.clear();
+        let _ = write!(scratch, "{x:?}");
+        self.str(scratch);
+    }
+
     /// A length-prefixed string (prefixing keeps `("ab","c")` distinct
     /// from `("a","bc")`).
     fn str(&mut self, s: &str) {
@@ -184,88 +196,149 @@ pub fn security_normalized_hash(input: &AnalysisInput) -> ModelHash {
 /// The canonical serialization behind [`model_hash`]; `security: false`
 /// hashes the pair-security section as an empty table.
 fn hash_input(input: &AnalysisInput, security: bool) -> ModelHash {
-    let mut mix = Mix::new();
+    let model = Hashed::of(input);
+    let mut mix = model.head();
+    hash_security(&mut mix, model.topology, security);
+    model.tail(&mut mix);
+    ModelHash(mix.finish())
+}
 
-    // Power system: bus count and branch list (branch order is semantic —
-    // measurement kinds reference branches positionally).
-    let system = input.measurements.system();
-    mix.tag("system");
-    mix.usize(system.num_buses());
-    mix.usize(system.branches().len());
-    for branch in system.branches() {
-        mix.usize(branch.from.index());
-        mix.usize(branch.to.index());
-        mix.f64(branch.susceptance);
-    }
+/// The [`model_hash`] and [`security_normalized_hash`] of a config
+/// lowered the default way (`AnalysisInput::from`: the DSN'16 policy,
+/// default path limits, routers pinned), from one walk of the config:
+/// the hash state forks at the pair-security section.
+pub(crate) fn config_hashes(config: &ScadaConfig) -> (ModelHash, ModelHash) {
+    static POLICY: LazyLock<SecurityPolicy> = LazyLock::new(SecurityPolicy::dsn16);
+    let model = Hashed {
+        measurements: &config.measurements,
+        topology: &config.topology,
+        ied_measurements: &config.ied_measurements,
+        policy: &POLICY,
+        path_limits: PathLimits::default(),
+        routers_can_fail: false,
+    };
+    let mut full = model.head();
+    let mut normalized = full;
+    hash_security(&mut full, model.topology, true);
+    hash_security(&mut normalized, model.topology, false);
+    model.tail(&mut full);
+    model.tail(&mut normalized);
+    (ModelHash(full.finish()), ModelHash(normalized.finish()))
+}
 
-    // Measurements, in order (ids are positional).
-    mix.tag("measurements");
-    mix.usize(input.measurements.len());
-    for kind in input.measurements.kinds() {
-        mix.str(&format!("{kind:?}"));
-    }
+/// The parts of a model its canonical hash reads.
+struct Hashed<'a> {
+    measurements: &'a MeasurementSet,
+    topology: &'a Topology,
+    ied_measurements: &'a [(DeviceId, Vec<MeasurementId>)],
+    policy: &'a SecurityPolicy,
+    path_limits: PathLimits,
+    routers_can_fail: bool,
+}
 
-    // Devices, in id order (ids are positional), with their own security
-    // attributes (pair security falls back to device suites).
-    mix.tag("devices");
-    mix.usize(input.topology.num_devices());
-    for device in input.topology.devices() {
-        mix.str(&format!("{:?}", device.kind()));
-        mix.bool(device.retired());
-        mix.bool(device.requires_crypto());
-        mix.unordered(device.crypto_suites(), |m, p| m.str(&p.to_string()));
-        mix.unordered(device.protocols(), |m, p| m.str(&format!("{p:?}")));
-    }
-
-    // Links: a set of normalized endpoint pairs.
-    mix.tag("links");
-    mix.unordered(input.topology.links(), |m, l| {
-        m.usize(l.a.index().min(l.b.index()));
-        m.usize(l.a.index().max(l.b.index()));
-    });
-
-    // IED→measurement association: entry order and inner list order are
-    // both incidental.
-    mix.tag("ied-measurements");
-    mix.unordered(&input.ied_measurements, |m, (ied, ms)| {
-        m.usize(ied.index());
-        let mut sorted: Vec<usize> = ms.iter().map(|id| id.index()).collect();
-        sorted.sort_unstable();
-        m.usize(sorted.len());
-        for id in sorted {
-            m.usize(id);
+impl<'a> Hashed<'a> {
+    fn of(input: &'a AnalysisInput) -> Hashed<'a> {
+        Hashed {
+            measurements: &input.measurements,
+            topology: &input.topology,
+            ied_measurements: &input.ied_measurements,
+            policy: &input.policy,
+            path_limits: input.path_limits,
+            routers_can_fail: input.routers_can_fail,
         }
-    });
+    }
 
-    // Explicit pair security: an unordered map of normalized pairs to
-    // unordered profile sets.
+    /// Every section before pair security.
+    fn head(&self) -> Mix {
+        let mut mix = Mix::new();
+        let mut scratch = String::new();
+
+        // Power system: bus count and branch list (branch order is
+        // semantic — measurement kinds reference branches positionally).
+        let system = self.measurements.system();
+        mix.tag("system");
+        mix.usize(system.num_buses());
+        mix.usize(system.branches().len());
+        for branch in system.branches() {
+            mix.usize(branch.from.index());
+            mix.usize(branch.to.index());
+            mix.f64(branch.susceptance);
+        }
+
+        // Measurements, in order (ids are positional).
+        mix.tag("measurements");
+        mix.usize(self.measurements.len());
+        for kind in self.measurements.kinds() {
+            mix.debug(&mut scratch, kind);
+        }
+
+        // Devices, in id order (ids are positional), with their own
+        // security attributes (pair security falls back to device
+        // suites).
+        mix.tag("devices");
+        mix.usize(self.topology.num_devices());
+        for device in self.topology.devices() {
+            mix.debug(&mut scratch, &device.kind());
+            mix.bool(device.retired());
+            mix.bool(device.requires_crypto());
+            mix.unordered(device.crypto_suites(), |m, p| m.str(&p.to_string()));
+            mix.unordered(device.protocols(), |m, p| m.str(&format!("{p:?}")));
+        }
+
+        // Links: a set of normalized endpoint pairs.
+        mix.tag("links");
+        mix.unordered(self.topology.links(), |m, l| {
+            m.usize(l.a.index().min(l.b.index()));
+            m.usize(l.a.index().max(l.b.index()));
+        });
+
+        // IED→measurement association: entry order and inner list order
+        // are both incidental.
+        mix.tag("ied-measurements");
+        mix.unordered(self.ied_measurements, |m, (ied, ms)| {
+            m.usize(ied.index());
+            let mut sorted: Vec<usize> = ms.iter().map(|id| id.index()).collect();
+            sorted.sort_unstable();
+            m.usize(sorted.len());
+            for id in sorted {
+                m.usize(id);
+            }
+        });
+        mix
+    }
+
+    /// Every section after pair security.
+    fn tail(&self, mix: &mut Mix) {
+        // Policy: rule order is incidental (a hop needs *any* accepted
+        // profile).
+        mix.tag("policy");
+        mix.unordered(self.policy.authentication_rules(), |m, r| {
+            m.str(&format!("{r:?}"));
+        });
+        mix.unordered(self.policy.integrity_rules(), |m, r| {
+            m.str(&format!("{r:?}"));
+        });
+
+        // Analysis parameters.
+        mix.tag("limits");
+        mix.usize(self.path_limits.max_paths);
+        mix.usize(self.path_limits.max_hops);
+        mix.bool(self.routers_can_fail);
+    }
+}
+
+/// Explicit pair security: an unordered map of normalized pairs to
+/// unordered profile sets, hashed as empty when `security` is false.
+fn hash_security(mix: &mut Mix, topology: &Topology, security: bool) {
     mix.tag("security");
     mix.unordered(
-        input.topology.pair_security_entries().filter(|_| security),
+        topology.pair_security_entries().filter(|_| security),
         |m, (a, b, profiles)| {
             m.usize(a.index().min(b.index()));
             m.usize(a.index().max(b.index()));
             m.unordered(profiles, |mm, p| mm.str(&p.to_string()));
         },
     );
-
-    // Policy: rule order is incidental (a hop needs *any* accepted
-    // profile).
-    mix.tag("policy");
-    mix.unordered(input.policy.authentication_rules(), |m, r| {
-        m.str(&format!("{r:?}"));
-    });
-    mix.unordered(input.policy.integrity_rules(), |m, r| {
-        m.str(&format!("{r:?}"));
-    });
-
-    // Analysis parameters.
-    mix.tag("limits");
-    mix.usize(input.path_limits.max_paths);
-    mix.usize(input.path_limits.max_hops);
-    mix.bool(input.routers_can_fail);
-
-    ModelHash(mix.finish())
 }
 
 /// Advances a model hash across a patch: the *lineage* hash of the
@@ -329,6 +402,33 @@ mod tests {
         assert_eq!(rendered.parse::<ModelHash>().unwrap(), h1);
         assert!("xyz".parse::<ModelHash>().is_err());
         assert!("00".parse::<ModelHash>().is_err());
+    }
+
+    #[test]
+    fn config_hashes_fork_model_and_normalized_hashes() {
+        let system = powergrid::synthetic::synthetic_system("hash", 9, 12, 7);
+        let scada = scadasim::generate(
+            system,
+            &scadasim::ScadaGenConfig {
+                secure_fraction: 0.8,
+                seed: 7,
+                ..Default::default()
+            },
+        );
+        let config = ScadaConfig {
+            measurements: scada.measurements,
+            topology: scada.topology,
+            ied_measurements: scada.ied_measurements,
+            resilience: (1, 1),
+            corrupted: 1,
+            link_failures: 0,
+        };
+        assert!(config.topology.pair_security_entries().next().is_some());
+        let input = AnalysisInput::from(config.clone());
+        assert_eq!(
+            config_hashes(&config),
+            (model_hash(&input), security_normalized_hash(&input))
+        );
     }
 
     #[test]

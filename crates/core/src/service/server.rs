@@ -892,10 +892,13 @@ pub(crate) fn load_input(
         return Ok(five_bus_case_study());
     }
     let text = config.expect("parser guarantees one source");
-    match scadasim::parse_config(&text) {
-        Ok(config) => Ok(AnalysisInput::from(config)),
-        Err(error) => Err(format!("bad config: {error}")),
-    }
+    let config = scadasim::parse_config(&text).map_err(|error| format!("bad config: {error}"))?;
+    AnalysisInput::checked(
+        config.measurements,
+        config.topology,
+        config.ied_measurements,
+    )
+    .map_err(|problem| format!("bad config: {problem}"))
 }
 
 /// Runs the fleet batch executor against `submit` and renders the
@@ -955,6 +958,19 @@ pub(crate) fn batch_reply(
             "error",
         ),
     }
+}
+
+/// [`LineHandler::handle_line`] for a transport: a request that panics
+/// is answered with an error line, as `batch` answers a panicking
+/// audit, instead of unwinding into the thread that serves the
+/// connection.
+pub(crate) fn handle_caught<H: LineHandler + ?Sized>(engine: &H, line: &str) -> Response {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.handle_line(line)))
+        .unwrap_or_else(|_| {
+            Response::reply(error_line(
+                "internal error (request panicked; see server log)",
+            ))
+        })
 }
 
 /// What a transport needs from a request engine, implemented by both
@@ -1218,7 +1234,7 @@ pub fn serve_stdio<H: LineHandler>(
                 if line.trim().is_empty() {
                     continue;
                 }
-                let response = engine.handle_line(&line);
+                let response = handle_caught(engine, &line);
                 writeln!(out, "{}", response.line)?;
                 out.flush()?;
                 if response.shutdown {
@@ -1255,7 +1271,7 @@ fn serve_connection<H: LineHandler>(engine: &H, stream: TcpStream) -> io::Result
                 if line.trim().is_empty() {
                     continue;
                 }
-                let response = engine.handle_line(&line);
+                let response = handle_caught(engine, &line);
                 writeln!(writer, "{}", response.line)?;
                 if response.shutdown {
                     break;
@@ -1320,6 +1336,34 @@ mod tests {
 
     fn engine() -> Engine {
         Engine::new(ServeOptions::default())
+    }
+
+    #[test]
+    fn a_panicking_request_is_answered_with_an_error_line() {
+        struct Panics;
+        impl LineHandler for Panics {
+            fn handle_line(&self, _: &str) -> Response {
+                panic!("request handler bug")
+            }
+            fn try_cached(&self, _: &str) -> Option<Response> {
+                None
+            }
+            fn max_line(&self) -> usize {
+                1024
+            }
+            fn is_draining(&self) -> bool {
+                false
+            }
+            fn begin_drain(&self) {}
+            fn drain(&self) {}
+        }
+        let reply = handle_caught(&Panics, "{\"op\":\"stats\"}");
+        assert!(
+            reply.line.starts_with("{\"ok\":false") && reply.line.contains("panicked"),
+            "{}",
+            reply.line
+        );
+        assert!(!reply.shutdown);
     }
 
     fn field_str(line: &str, key: &str) -> Option<String> {

@@ -16,6 +16,8 @@
 //! violating cannot succeed, and vectors are re-checked with the cheap
 //! direct evaluator before paying for SAT).
 
+use std::sync::Arc;
+
 use scadasim::paths::{forwarding_paths, security_hops};
 use scadasim::{CryptoAlgorithm, CryptoProfile, DeviceId};
 
@@ -254,12 +256,12 @@ fn try_candidate(
 ) -> Option<SynthesisResult> {
     let size = candidate.len();
     obs.count("synth_candidates", 1);
-    let upgraded = apply_upgrades(input, candidate, options.upgrade_suite);
+    let upgraded = Arc::new(apply_upgrades(input, candidate, options.upgrade_suite));
     // One path table serves the pre-check and the SAT check.
     let paths = enumerate_paths(&upgraded);
     // Cheap pre-check: all known counterexamples must now pass.
     {
-        let eval = DirectEvaluator::with_paths(&upgraded, paths.clone());
+        let eval = DirectEvaluator::with_paths(Arc::clone(&upgraded), paths.clone());
         for cx in counterexamples.iter() {
             let failed: std::collections::HashSet<DeviceId> = cx.iter().copied().collect();
             if eval.violates(property, spec.corrupted, &failed) {
@@ -273,7 +275,7 @@ fn try_candidate(
         }
     }
     // Full verification of the candidate.
-    let mut analyzer = Analyzer::with_paths(&upgraded, paths, obs.clone(), certify.clone());
+    let mut analyzer = Analyzer::with_paths(upgraded, paths, obs.clone(), certify.clone());
     let (outcome, result) = match analyzer.verify(property, spec) {
         Verdict::Resilient => (
             "repaired",

@@ -23,8 +23,9 @@
 //! threat vector, and the query returns it without encoding or solving
 //! (see DESIGN.md, "Zero-failure short-circuit").
 
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::marker::PhantomData;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use satcore::{ChunkSink, ProofSink};
@@ -32,7 +33,7 @@ use scadasim::DeviceId;
 
 use crate::bruteforce::DirectEvaluator;
 use crate::certify::{CertSession, Certificate, CertifyOptions, CHUNK_ENTRIES};
-use crate::encode::paths::{enumerate_paths, PathTable};
+use crate::encode::paths::{enumerate_paths, paths_after_set_profile, PathTable};
 use crate::encode::{DeltaStats, EncodingStats, ModelEncoder, SearchOutcome};
 use crate::input::AnalysisInput;
 use crate::obs::{next_query_id, Obs, TraceEvent};
@@ -134,11 +135,13 @@ pub struct VerificationReport {
 /// ```
 #[derive(Debug)]
 pub struct Analyzer<'a> {
-    /// Borrowed for the common "verify this input" flow; promoted to an
-    /// owned value the first time a patch rewrites the model in place
-    /// (see [`Analyzer::apply_patch`]). [`Analyzer::owning`] starts
-    /// owned, for sessions with no caller-side input to borrow from.
-    input: Cow<'a, AnalysisInput>,
+    /// The model under analysis, shared with the direct evaluator and
+    /// replaced by each patch (see [`Analyzer::apply_patch`]).
+    input: Arc<AnalysisInput>,
+    /// `'a` names the input [`Analyzer::new`] borrows. The analyzer
+    /// keeps its own shared copy, so nothing stays borrowed past
+    /// construction; the parameter keeps the type's name stable.
+    borrow: PhantomData<&'a AnalysisInput>,
     encoder: ModelEncoder,
     evaluator: DirectEvaluator,
     obs: Obs,
@@ -170,31 +173,14 @@ impl<'a> Analyzer<'a> {
         obs: Obs,
         certify: CertifyOptions,
     ) -> Analyzer<'a> {
-        Analyzer::with_paths(input, enumerate_paths(input), obs, certify)
+        let paths = enumerate_paths(input);
+        Analyzer::with_paths(Arc::new(input.clone()), paths, obs, certify)
     }
 
-    /// [`Analyzer::with_options`] over `input`'s already enumerated
-    /// path table.
+    /// [`Analyzer::with_options`] over a shared input and its already
+    /// enumerated path table.
     pub(crate) fn with_paths(
-        input: &'a AnalysisInput,
-        paths: PathTable,
-        obs: Obs,
-        certify: CertifyOptions,
-    ) -> Analyzer<'a> {
-        Analyzer::build(Cow::Borrowed(input), paths, obs, certify)
-    }
-
-    /// Builds an analyzer that owns its input outright. Long-lived
-    /// sessions that mutate their model via [`Analyzer::apply_patch`]
-    /// have no caller-side input to borrow from, so they start owned
-    /// and the returned analyzer is `'static`.
-    pub fn owning(input: AnalysisInput, obs: Obs, certify: CertifyOptions) -> Analyzer<'static> {
-        let paths = enumerate_paths(&input);
-        Analyzer::build(Cow::Owned(input), paths, obs, certify)
-    }
-
-    fn build(
-        input: Cow<'a, AnalysisInput>,
+        input: Arc<AnalysisInput>,
         paths: PathTable,
         obs: Obs,
         certify: CertifyOptions,
@@ -204,11 +190,20 @@ impl<'a> Analyzer<'a> {
         })
     }
 
+    /// Builds an analyzer that owns its input outright. Long-lived
+    /// sessions that mutate their model via [`Analyzer::apply_patch`]
+    /// have no caller-side input to borrow from, so they start owned
+    /// and the returned analyzer is `'static`.
+    pub fn owning(input: AnalysisInput, obs: Obs, certify: CertifyOptions) -> Analyzer<'static> {
+        let paths = enumerate_paths(&input);
+        Analyzer::with_paths(Arc::new(input), paths, obs, certify)
+    }
+
     /// Builds the analyzer; when `certify.enabled`, its checker thread
     /// is fed in chunks of `entries` entries through the sink that
     /// `install` makes of the checker's [`ChunkSink`].
     pub(crate) fn build_certified(
-        input: Cow<'a, AnalysisInput>,
+        input: Arc<AnalysisInput>,
         paths: PathTable,
         obs: Obs,
         certify: CertifyOptions,
@@ -224,8 +219,9 @@ impl<'a> Analyzer<'a> {
         let encoder = ModelEncoder::with_proof_sink(&input, paths.clone(), sink);
         Analyzer {
             encoder,
-            evaluator: DirectEvaluator::with_paths(&input, paths),
+            evaluator: DirectEvaluator::with_paths(Arc::clone(&input), paths),
             input,
+            borrow: PhantomData,
             obs,
             certify,
             cert,
@@ -239,9 +235,8 @@ impl<'a> Analyzer<'a> {
         &self.obs
     }
 
-    /// The input under analysis. The reference borrows the analyzer —
-    /// after [`Analyzer::apply_patch`] the input is analyzer-owned, so
-    /// it can no longer be handed out with the caller's lifetime.
+    /// The input under analysis. The reference borrows the analyzer:
+    /// [`Analyzer::apply_patch`] replaces the input.
     pub fn input(&self) -> &AnalysisInput {
         &self.input
     }
@@ -261,8 +256,12 @@ impl<'a> Analyzer<'a> {
     ///
     /// The patch is validated against the current input first; a
     /// rejected patch leaves the analyzer untouched. On success the
-    /// patched model's path table is enumerated once and handed to the
-    /// encoder and to a fresh direct evaluator. The encoder absorbs the
+    /// patched model's path table is built once and handed to the
+    /// encoder and to a fresh direct evaluator, which shares the patched
+    /// input. A `set_profile` on a pair that was crypto-compatible
+    /// already keeps the previous table's paths and re-checks only the
+    /// security of paths through the pair (DESIGN.md §10); every other
+    /// patch enumerates them again. The encoder absorbs the
     /// delta in place: new model elements get fresh variables, retired
     /// devices are pinned available by unit clauses, and only the
     /// delivery cones whose path sets actually changed are re-encoded
@@ -282,10 +281,16 @@ impl<'a> Analyzer<'a> {
         // The input is swapped in last: if the delta encode panics, the
         // analyzer's input still names the model its solver encodes, so
         // a session worker can rebuild from it consistently.
-        let paths = enumerate_paths(&next);
+        let paths = match patch {
+            ModelPatch::SetProfile { a, b, .. } => {
+                paths_after_set_profile(&self.input, self.evaluator.paths(), &next, *a, *b)
+            }
+            _ => enumerate_paths(&next),
+        };
         let stats = self.encoder.apply_delta(&next, paths.clone());
-        self.evaluator = DirectEvaluator::with_paths(&next, paths);
-        *self.input.to_mut() = next;
+        let next = Arc::new(next);
+        self.evaluator = DirectEvaluator::with_paths(Arc::clone(&next), paths);
+        self.input = next;
         self.fails_at_zero.clear();
         self.patches += 1;
         self.obs.count("patches_applied", 1);

@@ -10,17 +10,23 @@
 //! test pins the proof-flush-at-patch-boundary behaviour: proof steps
 //! learned before a patch must be drained into the session checker
 //! (and their `patch-<n>.drat` file) before the encoder mutates, or
-//! later replays interleave clauses from two encodings.
+//! later replays interleave clauses from two encodings. A last property
+//! drives `set_profile` sequences, which keep the session's path table
+//! where no hop can open, and checks the table against a fresh
+//! enumeration after every patch.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use proptest::prelude::*;
+use scada_analyzer::bruteforce::DirectEvaluator;
 use scada_analyzer::{
-    enumerate_threats_with, AnalysisInput, Analyzer, BudgetAxis, CertifyOptions, ModelPatch, Obs,
-    Property, QueryLimits, ResiliencySpec, ThreatSpace,
+    enumerate_threats_with, AnalysisInput, Analyzer, BudgetAxis, CertifyOptions, MetricsRegistry,
+    ModelPatch, Obs, Property, QueryLimits, ResiliencySpec, ThreatSpace,
 };
 use scadasim::{
-    generate, CryptoAlgorithm, CryptoProfile, DeviceId, DeviceKind, ScadaConfig, ScadaGenConfig,
+    generate, CryptoAlgorithm, CryptoProfile, DeviceId, DeviceKind, Link, ScadaConfig,
+    ScadaGenConfig, Topology,
 };
 
 const PROPERTIES: [Property; 3] = [
@@ -399,4 +405,163 @@ fn device_added_after_counter_growth_keeps_the_grown_cap() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Path-table reuse across `set_profile` patches
+// ---------------------------------------------------------------------------
+
+/// A 9-bus model in which every IED that stays reachable requires
+/// crypto it has no suite for and gains a spare link, without a pair
+/// entry, to an RTU it was not linked to: the spare link is a closed
+/// hop, which a `set_profile` on it opens.
+fn closed_hop_input(seed: u64) -> AnalysisInput {
+    let system = powergrid::synthetic::synthetic_system("reuse", 9, 12, seed);
+    let scada = generate(
+        system,
+        &ScadaGenConfig {
+            measurement_density: 0.7,
+            hierarchy_level: 1,
+            secure_fraction: 0.5,
+            seed,
+            ..Default::default()
+        },
+    );
+    let mut topology = scada.topology;
+    let ieds: Vec<DeviceId> = topology.ieds().map(|d| d.id()).collect();
+    let rtus: Vec<DeviceId> = topology.rtus().map(|d| d.id()).collect();
+    for ied in ieds {
+        let neighbors = topology.neighbors(ied);
+        let Some(&spare) = rtus.iter().find(|r| !neighbors.contains(r)) else {
+            continue;
+        };
+        let mut devices = topology.devices().to_vec();
+        devices[ied.index()] = devices[ied.index()].clone().requiring_crypto();
+        let mut links = topology.links().to_vec();
+        links.push(Link::new(ied, spare));
+        let mut closed = Topology::new(devices, links);
+        for (a, b, profiles) in topology.pair_security_entries() {
+            closed.set_pair_security(a, b, profiles.to_vec());
+        }
+        if closed.validate().is_empty() {
+            topology = closed;
+        }
+    }
+    AnalysisInput::new(scada.measurements, topology, scada.ied_measurements)
+}
+
+/// Profile lists a patch draws from: strong, weak, and empty.
+fn palette(i: usize) -> Vec<CryptoProfile> {
+    let p = CryptoProfile::new;
+    match i % 4 {
+        0 => vec![p(CryptoAlgorithm::Aes, 256), p(CryptoAlgorithm::Sha2, 256)],
+        1 => vec![p(CryptoAlgorithm::Hmac, 128)],
+        2 => vec![p(CryptoAlgorithm::Des, 56)],
+        _ => Vec::new(),
+    }
+}
+
+/// A `set_profile` on a linked pair of `input`: one that replaces an
+/// explicit entry (`kind` 0), adds one where the devices pair at device
+/// level (1), or adds one where they do not, opening a hop (2). `None`
+/// when the model has no such pair.
+fn profile_patch(
+    kind: usize,
+    bits: u64,
+    profiles: usize,
+    input: &AnalysisInput,
+) -> Option<ModelPatch> {
+    let topology = &input.topology;
+    let pairs: Vec<(DeviceId, DeviceId)> = topology
+        .links()
+        .iter()
+        .map(|l| (l.a, l.b))
+        .filter(|&(a, b)| {
+            let explicit = topology.explicit_pair_security(a, b).is_some();
+            let device_level = topology.device(a).crypto_pairing(topology.device(b));
+            match kind {
+                0 => explicit,
+                1 => !explicit && device_level,
+                _ => !explicit && !device_level,
+            }
+        })
+        .collect();
+    let &(a, b) = pairs.get(bits as usize % pairs.len().max(1))?;
+    Some(ModelPatch::SetProfile {
+        a,
+        b,
+        profiles: palette(profiles),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random `set_profile` sequences — replacing entries, adding them,
+    /// and opening hops — on a certified warm session: after every
+    /// patch the session's path table equals a fresh enumeration, and
+    /// at the end its verdicts equal a cold rebuild's, with every
+    /// certified chain replayed without a hint fallback.
+    #[test]
+    fn set_profile_sequences_keep_the_path_table_fresh(
+        seed in 0u64..1000,
+        choices in proptest::collection::vec((0usize..3, any::<u64>(), 0usize..4), 1..7),
+    ) {
+        let mut current = closed_hop_input(seed);
+        let metrics = Arc::new(MetricsRegistry::new());
+        let certify = CertifyOptions::enabled();
+        let obs = Obs::none().with_metrics(metrics.clone());
+        let mut warm = Analyzer::owning(current.clone(), obs, certify.clone());
+        let spec = ResiliencySpec::split(1, 1).with_corrupted(1);
+        for property in PROPERTIES {
+            warm.verify(property, spec);
+        }
+        for &(kind, bits, profiles) in &choices {
+            let Some(patch) = profile_patch(kind, bits, profiles, &current) else {
+                continue;
+            };
+            current = patch.apply(&current).expect("set_profile on a linked pair applies");
+            warm.apply_patch(&patch).expect("the warm session applies it too");
+            prop_assert!(
+                warm.evaluator().same_paths(&DirectEvaluator::new(&current)),
+                "path table went stale after `{}` (seed {})",
+                patch,
+                seed
+            );
+            warm.verify(Property::SecuredObservability, spec);
+        }
+        let mut cold = Analyzer::owning(current.clone(), Obs::none(), CertifyOptions::enabled());
+        for property in PROPERTIES {
+            for spec in [spec, ResiliencySpec::total(2).with_corrupted(1)] {
+                let w = warm.verify_with_report(property, spec);
+                let c = cold.verify_with_report(property, spec);
+                prop_assert_eq!(
+                    w.verdict.is_resilient(),
+                    c.verdict.is_resilient(),
+                    "verify({:?}, {}) diverged (seed {})",
+                    property, spec, seed
+                );
+                prop_assert!(w.certificate.is_some_and(|c| !c.is_failure()));
+            }
+        }
+        prop_assert_eq!(certify.log.failures(), 0);
+        prop_assert_eq!(metrics.counter("cert_hint_fallbacks"), 0);
+    }
+}
+
+/// The property above exercises every kind of `set_profile`: the seeded
+/// models offer pairs with an entry, pairs without one that pair at
+/// device level, and closed hops.
+#[test]
+fn closed_hop_inputs_offer_every_kind_of_set_profile() {
+    let mut offered = [0usize; 3];
+    for seed in 0..20 {
+        let input = closed_hop_input(seed);
+        for (kind, count) in offered.iter_mut().enumerate() {
+            if profile_patch(kind, 0, 0, &input).is_some() {
+                *count += 1;
+            }
+        }
+    }
+    assert!(offered.iter().all(|&n| n >= 5), "{offered:?} of 20 models");
 }

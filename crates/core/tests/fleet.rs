@@ -399,7 +399,7 @@ fn assert_cluster_keys_unchanged(scan: FleetScan) {
     for member in &mut relowered.members {
         let normalized = relowered_normalized_hash(&member.config);
         assert_eq!(
-            security_normalized_hash(&member.input),
+            security_normalized_hash(&member.config.input()),
             normalized,
             "{}",
             member.config.name

@@ -83,6 +83,45 @@ fn security_index_of_an_unattackable_injection_is_an_error_not_a_panic() {
     engine.drain();
 }
 
+/// Config texts a `load` used to panic on (in the `.scada` parser, or
+/// lowering a topology that fails validation), each with an edit of
+/// `BASE_CONFIG` and a fragment of the error it must answer instead.
+const MALFORMED_LOADS: [(&str, &str, &str); 5] = [
+    ("1 2 10.0", "1 1 10.0", "line endpoints must differ"),
+    ("injection 2", "injection 0", "bus 0 out of range"),
+    ("1 3\n2 3", "0 3\n2 3", "unknown device"),
+    ("corrupted 1", "corrupted", "expected `corrupted r`"),
+    ("3 4\n", "3 3\n", "invalid topology"),
+];
+
+/// A malformed `load` is answered `ok:false` with the config error,
+/// and the engine goes on serving the next request.
+#[test]
+fn malformed_load_is_an_error_reply_and_the_engine_keeps_serving() {
+    let engine = Engine::new(ServeOptions::default());
+    for (from, to, error) in MALFORMED_LOADS {
+        let config = BASE_CONFIG.replace(from, to);
+        assert_ne!(config, BASE_CONFIG, "edit `{from}` must apply");
+        let reply = engine
+            .handle_line(&format!(
+                "{{\"op\":\"load\",\"config\":\"{}\"}}",
+                config.replace('\n', "\\n")
+            ))
+            .line;
+        assert!(
+            reply.starts_with("{\"ok\":false") && reply.contains(error),
+            "{reply}"
+        );
+        let stats = engine.handle_line("{\"op\":\"stats\"}").line;
+        assert!(stats.starts_with("{\"ok\":true"), "{stats}");
+    }
+    let load = engine
+        .handle_line("{\"op\":\"load\",\"case_study\":true}")
+        .line;
+    assert!(load.starts_with("{\"ok\":true"), "{load}");
+    engine.drain();
+}
+
 /// A `maxres` null from an unlimited sweep is final (the property fails
 /// with nothing failed) and replays from the cache; the same null under
 /// a conflict budget may hide an `Unknown` rung and is recomputed.
@@ -380,6 +419,31 @@ fn stdio_session_serves_cold_cached_and_recovers_from_garbage() {
     assert!(bye.contains("\"draining\":true"), "no drain ack: {bye}");
     let status = child.wait().expect("wait scadad");
     assert!(status.success(), "scadad exited {status:?}");
+}
+
+/// The `scadad` process itself survives a malformed `load`: before the
+/// parser returned errors, a self-loop line ended it with exit 101.
+#[test]
+fn stdio_malformed_load_keeps_the_service_up() {
+    let mut child = scadad(&[]);
+    let mut stdin = child.stdin.take().expect("stdin");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout"));
+    for (from, to, error) in MALFORMED_LOADS {
+        let config = BASE_CONFIG.replace(from, to).replace('\n', "\\n");
+        let reply = roundtrip(
+            &mut stdin,
+            &mut stdout,
+            &format!("{{\"op\":\"load\",\"config\":\"{config}\"}}"),
+        );
+        assert!(
+            reply.starts_with("{\"ok\":false") && reply.contains(error),
+            "{reply}"
+        );
+    }
+    let stats = roundtrip(&mut stdin, &mut stdout, "{\"op\":\"stats\"}");
+    assert!(stats.starts_with("{\"ok\":true"), "{stats}");
+    roundtrip(&mut stdin, &mut stdout, "{\"op\":\"shutdown\"}");
+    assert!(child.wait().expect("wait").success());
 }
 
 #[test]

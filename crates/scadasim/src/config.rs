@@ -31,7 +31,7 @@
 //! corrupted 1
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use powergrid::{Branch, BusId, MeasurementId, MeasurementKind, MeasurementSet, PowerSystem};
@@ -39,6 +39,11 @@ use powergrid::{Branch, BusId, MeasurementId, MeasurementKind, MeasurementSet, P
 use crate::crypto::CryptoProfile;
 use crate::device::{Device, DeviceId, DeviceKind};
 use crate::topology::{Link, Topology};
+
+/// The largest bus count a configuration may declare. A bus needs no
+/// text of its own, so the count is bounded by this constant rather
+/// than by the input: the power system allocates per bus.
+pub const MAX_BUSES: usize = 1 << 20;
 
 /// A parsed configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,7 +110,7 @@ pub fn parse_config(text: &str) -> Result<ScadaConfig, ParseConfigError> {
     }
     let mut section = Section::None;
     let mut n_buses: Option<usize> = None;
-    let mut lines_raw: Vec<(usize, usize, f64)> = Vec::new();
+    let mut lines_raw: Vec<(usize, usize, usize, f64)> = Vec::new();
     let mut meas_raw: Vec<(usize, Vec<String>)> = Vec::new();
     let mut devices_raw: Vec<(usize, DeviceKind, usize)> = Vec::new();
     let mut links_raw: Vec<(usize, usize, usize)> = Vec::new();
@@ -142,7 +147,14 @@ pub fn parse_config(text: &str) -> Result<ScadaConfig, ParseConfigError> {
         match section {
             Section::None => return Err(err(ln, "content before first section")),
             Section::Buses => {
-                n_buses = Some(tokens[0].parse().map_err(|_| err(ln, "bad bus count"))?);
+                let count: usize = tokens[0].parse().map_err(|_| err(ln, "bad bus count"))?;
+                if count > MAX_BUSES {
+                    return Err(err(
+                        ln,
+                        format!("bus count {count} exceeds the limit of {MAX_BUSES}"),
+                    ));
+                }
+                n_buses = Some(count);
             }
             Section::Lines => {
                 if tokens.len() != 3 {
@@ -150,8 +162,14 @@ pub fn parse_config(text: &str) -> Result<ScadaConfig, ParseConfigError> {
                 }
                 let f = tokens[0].parse().map_err(|_| err(ln, "bad bus"))?;
                 let t = tokens[1].parse().map_err(|_| err(ln, "bad bus"))?;
-                let s = tokens[2].parse().map_err(|_| err(ln, "bad susceptance"))?;
-                lines_raw.push((f, t, s));
+                let s: f64 = tokens[2].parse().map_err(|_| err(ln, "bad susceptance"))?;
+                if f == t {
+                    return Err(err(ln, "line endpoints must differ"));
+                }
+                if !(s.is_finite() && s > 0.0) {
+                    return Err(err(ln, "susceptance must be a positive finite number"));
+                }
+                lines_raw.push((ln, f, t, s));
             }
             Section::Measurements => {
                 meas_raw.push((ln, tokens.iter().map(|s| s.to_string()).collect()));
@@ -214,10 +232,14 @@ pub fn parse_config(text: &str) -> Result<ScadaConfig, ParseConfigError> {
                     );
                 }
                 "corrupted" => {
-                    corrupted = tokens[1].parse().map_err(|_| err(ln, "bad r"))?;
+                    let value = tokens
+                        .get(1)
+                        .ok_or_else(|| err(ln, "expected `corrupted r`"))?;
+                    corrupted = value.parse().map_err(|_| err(ln, "bad r"))?;
                 }
                 "links" => {
-                    link_failures = tokens[1].parse().map_err(|_| err(ln, "bad link budget"))?;
+                    let value = tokens.get(1).ok_or_else(|| err(ln, "expected `links n`"))?;
+                    link_failures = value.parse().map_err(|_| err(ln, "bad link budget"))?;
                 }
                 other => return Err(err(ln, format!("unknown spec `{other}`"))),
             },
@@ -225,14 +247,31 @@ pub fn parse_config(text: &str) -> Result<ScadaConfig, ParseConfigError> {
     }
 
     let n_buses = n_buses.ok_or_else(|| err(0, "missing [buses] section"))?;
-    let branches: Vec<Branch> = lines_raw
-        .iter()
-        .map(|&(f, t, s)| Branch::new(BusId::from_one_based(f), BusId::from_one_based(t), s))
-        .collect();
+    // A bus number is checked against the count once every section is
+    // read: `[buses]` may come after `[lines]`.
+    let bus = |ln: usize, number: usize| -> Result<BusId, ParseConfigError> {
+        if number == 0 || number > n_buses {
+            return Err(err(ln, format!("bus {number} out of range 1..={n_buses}")));
+        }
+        Ok(BusId::from_one_based(number))
+    };
+    let mut branches: Vec<Branch> = Vec::with_capacity(lines_raw.len());
+    let mut line_pairs = HashSet::with_capacity(lines_raw.len());
+    for &(ln, f, t, s) in &lines_raw {
+        let (from, to) = (bus(ln, f)?, bus(ln, t)?);
+        if !line_pairs.insert((f.min(t), f.max(t))) {
+            return Err(err(
+                ln,
+                format!("duplicate line between bus {f} and bus {t}"),
+            ));
+        }
+        branches.push(Branch::new(from, to, s));
+    }
     let system = PowerSystem::new("config", n_buses, branches);
 
     // Measurements.
     let mut kinds = Vec::new();
+    let mut seen_kinds = HashSet::with_capacity(meas_raw.len());
     for (ln, tokens) in &meas_raw {
         let kind = match tokens[0].as_str() {
             "flow" | "flowback" => {
@@ -241,8 +280,13 @@ pub fn parse_config(text: &str) -> Result<ScadaConfig, ParseConfigError> {
                 }
                 let f: usize = tokens[1].parse().map_err(|_| err(*ln, "bad bus"))?;
                 let t: usize = tokens[2].parse().map_err(|_| err(*ln, "bad bus"))?;
-                let a = BusId::from_one_based(f);
-                let b = BusId::from_one_based(t);
+                // A far end past the bus count is just not joined to
+                // `a` by a line.
+                let a = bus(*ln, f)?;
+                let b = match t {
+                    0 => bus(*ln, t)?,
+                    _ => BusId::from_one_based(t),
+                };
                 let branch = system
                     .branch_between(a, b)
                     .ok_or_else(|| err(*ln, format!("no line between bus{f} and bus{t}")))?;
@@ -263,17 +307,36 @@ pub fn parse_config(text: &str) -> Result<ScadaConfig, ParseConfigError> {
                 }
             }
             "injection" => {
+                if tokens.len() != 2 {
+                    return Err(err(*ln, "expected `injection bus`"));
+                }
                 let b: usize = tokens[1].parse().map_err(|_| err(*ln, "bad bus"))?;
-                MeasurementKind::Injection(BusId::from_one_based(b))
+                MeasurementKind::Injection(bus(*ln, b)?)
             }
             other => return Err(err(*ln, format!("unknown measurement kind `{other}`"))),
         };
+        if !seen_kinds.insert(kind) {
+            return Err(err(
+                *ln,
+                format!("duplicate measurement `{}`", tokens.join(" ")),
+            ));
+        }
         kinds.push(kind);
     }
     let measurements = MeasurementSet::new(system, kinds);
 
-    // Devices: numbers must be dense 1..=n but may appear in any order.
+    // Devices: numbers must be dense 1..=n but may appear in any order,
+    // so no number can exceed the count of device lines.
     let max_dev = devices_raw.iter().map(|&(_, _, n)| n).max().unwrap_or(0);
+    if let Some(&(ln, _, num)) = devices_raw.iter().find(|d| d.2 > devices_raw.len()) {
+        return Err(err(
+            ln,
+            format!(
+                "device {num} exceeds the {} devices declared (numbers are dense from 1)",
+                devices_raw.len()
+            ),
+        ));
+    }
     let mut kinds_by_num: Vec<Option<DeviceKind>> = vec![None; max_dev];
     for &(ln, kind, num) in &devices_raw {
         if num == 0 || num > max_dev {
@@ -288,15 +351,15 @@ pub fn parse_config(text: &str) -> Result<ScadaConfig, ParseConfigError> {
         let kind = k.ok_or_else(|| err(0, format!("device {} missing", i + 1)))?;
         devices.push(Device::new(DeviceId(i), kind));
     }
-    let links: Vec<Link> = links_raw
-        .iter()
-        .map(|&(_, a, b)| Link::new(DeviceId::from_one_based(a), DeviceId::from_one_based(b)))
-        .collect();
     for &(ln, a, b) in &links_raw {
         if a == 0 || a > max_dev || b == 0 || b > max_dev {
             return Err(err(ln, "link references unknown device"));
         }
     }
+    let links: Vec<Link> = links_raw
+        .iter()
+        .map(|&(_, a, b)| Link::new(DeviceId::from_one_based(a), DeviceId::from_one_based(b)))
+        .collect();
     let mut topology = Topology::new(devices, links);
     for (ln, a, b, profiles) in security_raw {
         if a == 0 || a > max_dev || b == 0 || b > max_dev {
@@ -504,6 +567,90 @@ corrupted 1
     fn comments_and_blank_lines_ignored() {
         let commented = SMALL.replace("[buses]", "# leading comment\n\n[buses] # trailing");
         assert!(parse_config(&commented).is_ok());
+    }
+
+    /// `SMALL` with one edit must fail at `line` with a message holding
+    /// `needle`, and must not panic.
+    fn rejects_at(from: &str, to: &str, line: usize, needle: &str) {
+        assert_eq!(SMALL.matches(from).count(), 1, "edit `{from}` is ambiguous");
+        let e = parse_config(&SMALL.replace(from, to)).unwrap_err();
+        assert_eq!(e.line, line, "{e}");
+        assert!(e.message.contains(needle), "{e}");
+    }
+
+    #[test]
+    fn rejects_self_loop_line() {
+        rejects_at("1 2 16.9", "1 1 16.9", 6, "endpoints must differ");
+    }
+
+    #[test]
+    fn rejects_bus_zero_in_line() {
+        rejects_at("1 2 16.9", "0 1 16.9", 6, "bus 0 out of range");
+    }
+
+    #[test]
+    fn rejects_line_bus_out_of_range() {
+        rejects_at("1 2 16.9", "1 3 16.9", 6, "bus 3 out of range 1..=2");
+    }
+
+    #[test]
+    fn rejects_non_positive_susceptance() {
+        for bad in ["0", "-16.9", "nan", "inf"] {
+            rejects_at("1 2 16.9", &format!("1 2 {bad}"), 6, "susceptance");
+        }
+    }
+
+    #[test]
+    fn rejects_parallel_lines() {
+        rejects_at("1 2 16.9", "1 2 16.9\n2 1 3.0", 7, "duplicate line");
+    }
+
+    #[test]
+    fn rejects_injection_at_bus_zero() {
+        rejects_at("injection 2", "injection 0", 10, "bus 0 out of range");
+    }
+
+    #[test]
+    fn rejects_duplicate_measurement() {
+        rejects_at(
+            "flow 2 1",
+            "flow 1 2",
+            9,
+            "duplicate measurement `flow 1 2`",
+        );
+    }
+
+    #[test]
+    fn rejects_link_to_device_zero() {
+        rejects_at("[links]\n1 2", "[links]\n0 2", 16, "unknown device");
+    }
+
+    #[test]
+    fn rejects_spec_keys_without_values() {
+        rejects_at("corrupted 1", "corrupted", 24, "expected `corrupted r`");
+        rejects_at(
+            "corrupted 1",
+            "corrupted 1\nlinks",
+            25,
+            "expected `links n`",
+        );
+    }
+
+    #[test]
+    fn rejects_bus_count_over_the_limit() {
+        let huge = format!("[buses]\n{}", MAX_BUSES + 1);
+        rejects_at("[buses]\n2", &huge, 4, "exceeds the limit");
+    }
+
+    #[test]
+    fn rejects_device_number_past_the_declared_devices() {
+        // Checked before anything is sized by the number.
+        rejects_at(
+            "mtu 3",
+            "mtu 99999999999",
+            14,
+            "exceeds the 3 devices declared",
+        );
     }
 
     #[test]

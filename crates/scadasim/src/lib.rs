@@ -43,7 +43,7 @@ mod policy;
 mod protocol;
 mod topology;
 
-pub use config::{parse_config, write_config, ParseConfigError, ScadaConfig};
+pub use config::{parse_config, write_config, ParseConfigError, ScadaConfig, MAX_BUSES};
 pub use crypto::{CryptoAlgorithm, CryptoProfile, ParseAlgorithmError};
 pub use device::{Device, DeviceId, DeviceKind};
 pub use generator::{generate, GeneratedScada, ScadaGenConfig};
