@@ -1,9 +1,7 @@
 //! Ablation benches for the engine layer: the CDCL solver on classic
-//! hard instances, proof replay with and without the solver's
-//! antecedent hints, and the three cardinality encodings (the design
-//! choices DESIGN.md calls out).
+//! hard instances, and proof replay with and without the solver's
+//! antecedent hints (the design choices DESIGN.md calls out).
 
-use boolexpr::{assert_at_most, CardEncoding};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use satcore::{
     check_hinted_proof, check_unsat_proof, Cnf, CnfSink, ProofBuffer, SolveResult, Solver, Var,
@@ -77,45 +75,5 @@ fn bench_replay(c: &mut Criterion) {
     group.finish();
 }
 
-/// Encoding ablation: assert at-most-k over n inputs, force k+... bits,
-/// and measure encode+solve (unsat) time per encoding.
-fn bench_cardinality(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cardinality_ablation");
-    group.sample_size(10);
-    let n = 60;
-    let k = 6;
-    for enc in [CardEncoding::Sequential, CardEncoding::Totalizer] {
-        group.bench_with_input(
-            BenchmarkId::new(format!("{enc:?}"), format!("n{n}_k{k}")),
-            &enc,
-            |b, &enc| {
-                b.iter(|| {
-                    let mut s = Solver::new();
-                    let xs: Vec<_> = (0..n).map(|_| s.new_var().positive()).collect();
-                    assert_at_most(&mut s, &xs, k, enc);
-                    // Force k+1 inputs true: must be unsat.
-                    let assumptions: Vec<_> = xs.iter().take(k + 1).copied().collect();
-                    assert_eq!(s.solve_with_assumptions(&assumptions), SolveResult::Unsat);
-                    // And k true is sat.
-                    let assumptions: Vec<_> = xs.iter().take(k).copied().collect();
-                    assert_eq!(s.solve_with_assumptions(&assumptions), SolveResult::Sat);
-                })
-            },
-        );
-    }
-    // Pairwise explodes combinatorially; bench it at a feasible size so
-    // the ablation shows *why* it is not the default.
-    group.bench_function("Pairwise/n20_k2", |b| {
-        b.iter(|| {
-            let mut s = Solver::new();
-            let xs: Vec<_> = (0..20).map(|_| s.new_var().positive()).collect();
-            assert_at_most(&mut s, &xs, 2, CardEncoding::Pairwise);
-            let assumptions: Vec<_> = xs.iter().take(3).copied().collect();
-            assert_eq!(s.solve_with_assumptions(&assumptions), SolveResult::Unsat);
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_solver, bench_replay, bench_cardinality);
+criterion_group!(benches, bench_solver, bench_replay);
 criterion_main!(benches);

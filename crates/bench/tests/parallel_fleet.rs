@@ -1,9 +1,9 @@
 //! Property-based determinism check for the parallel engine: on random
 //! `Workload`s, every parallel jobs count produces exactly the serial
-//! fleet result, and `verify_batch` matches per-query serial analysis.
+//! fleet result.
 
 use proptest::prelude::*;
-use scada_analyzer::{verify_batch, Analyzer, Property, QueryContext, ResiliencySpec};
+use scada_analyzer::{Property, QueryContext, ResiliencySpec};
 use scada_bench::{measure_fleet, FleetQuery, Workload};
 
 fn workload_strategy() -> impl Strategy<Value = Workload> {
@@ -57,29 +57,6 @@ proptest! {
                 prop_assert_eq!(p.outcome, s.outcome);
                 prop_assert_eq!(p.variables, s.variables);
                 prop_assert_eq!(p.clauses, s.clauses);
-            }
-        }
-    }
-
-    #[test]
-    fn batch_verdicts_match_serial_on_random_workloads(
-        workload in workload_strategy(),
-        property in property_strategy(),
-    ) {
-        let input = workload.build();
-        let queries: Vec<(Property, ResiliencySpec)> = (0..3usize)
-            .map(|k| (property, ResiliencySpec::total(k)))
-            .collect();
-        let serial: Vec<_> = queries
-            .iter()
-            .map(|&(p, s)| Analyzer::new(&input).verify_with_report(p, s))
-            .collect();
-        for jobs in [1usize, 2, 8] {
-            let parallel = verify_batch(&input, &queries, jobs, &QueryContext::default());
-            for (p, s) in parallel.iter().zip(&serial) {
-                prop_assert_eq!(&p.verdict, &s.verdict);
-                prop_assert_eq!(p.encoding.variables, s.encoding.variables);
-                prop_assert_eq!(p.encoding.clauses, s.encoding.clauses);
             }
         }
     }

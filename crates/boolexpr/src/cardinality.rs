@@ -3,234 +3,16 @@
 //! The DSN'16 model uses two kinds of arithmetic: failure budgets
 //! (`N − Σ Nodeᵢ ≤ k`) and measurement-count thresholds
 //! (`Σ DelUMsr_E ≥ n`). Both are cardinality constraints, encoded here
-//! three ways:
-//!
-//! * **pairwise** — the naive binomial encoding, only sensible for tiny
-//!   inputs or `k ∈ {0, 1, n−1}`, kept as a baseline for the ablation
-//!   bench,
-//! * **sequential counter** (Sinz 2005) — `O(n·k)` clauses, asserts an
-//!   at-most-k in one direction,
-//! * **totalizer** (Bailleux & Boufkhad 2003) — `O(n²)` clauses building a
-//!   full unary counter whose output literals are *equivalent* to the
-//!   threshold atoms `Σ ≥ j`; this reification is what lets thresholds
-//!   appear inside disjunctions (the unobservability constraint) and be
-//!   queried incrementally under assumptions (the maximum-resiliency
-//!   search). [`UnaryCounter::build_capped`] is its k-simplified form:
-//!   only the first `cap` outputs, in `O(n·cap)` clauses, each still an
-//!   equivalence.
+//! by the **totalizer** (Bailleux & Boufkhad 2003): `O(n²)` clauses
+//! building a full unary counter whose output literals are *equivalent*
+//! to the threshold atoms `Σ ≥ j`. This reification is what lets
+//! thresholds appear inside disjunctions (the unobservability
+//! constraint) and be queried incrementally under assumptions (the
+//! maximum-resiliency search). [`UnaryCounter::build_capped`] is its
+//! k-simplified form: only the first `cap` outputs, in `O(n·cap)`
+//! clauses, each still an equivalence.
 
 use satcore::{CnfSink, Lit};
-
-/// Which clause-level encoding to use for an asserted bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CardEncoding {
-    /// Binomial encoding: one clause per (k+1)-subset.
-    Pairwise,
-    /// Sinz's sequential counter.
-    Sequential,
-    /// Bailleux–Boufkhad totalizer (via [`UnaryCounter`]).
-    #[default]
-    Totalizer,
-}
-
-/// Asserts `Σ lits ≤ k`.
-///
-/// # Panics
-///
-/// Panics if the pairwise encoding is requested for an instance where it
-/// would exceed one million clauses.
-pub fn assert_at_most<S: CnfSink>(sink: &mut S, lits: &[Lit], k: usize, enc: CardEncoding) {
-    if k >= lits.len() {
-        return; // trivially true
-    }
-    if k == 0 {
-        for &l in lits {
-            sink.add_clause(&[!l]);
-        }
-        return;
-    }
-    match enc {
-        CardEncoding::Pairwise => pairwise_at_most(sink, lits, k),
-        CardEncoding::Sequential => sequential_at_most(sink, lits, k),
-        CardEncoding::Totalizer => {
-            let counter = UnaryCounter::build(sink, lits);
-            counter.assert_at_most(sink, k);
-        }
-    }
-}
-
-/// Asserts `Σ lits ≥ k` (as at-most over the negations).
-pub fn assert_at_least<S: CnfSink>(sink: &mut S, lits: &[Lit], k: usize, enc: CardEncoding) {
-    if k == 0 {
-        return;
-    }
-    if k > lits.len() {
-        sink.add_clause(&[]); // unsatisfiable
-        return;
-    }
-    if k == 1 {
-        sink.add_clause(lits);
-        return;
-    }
-    let negated: Vec<Lit> = lits.iter().map(|&l| !l).collect();
-    assert_at_most(sink, &negated, lits.len() - k, enc);
-}
-
-/// Asserts `Σ lits = k`.
-pub fn assert_exactly<S: CnfSink>(sink: &mut S, lits: &[Lit], k: usize, enc: CardEncoding) {
-    assert_at_most(sink, lits, k, enc);
-    assert_at_least(sink, lits, k, enc);
-}
-
-/// Clause budget above which the pairwise encoding refuses to run.
-const MAX_PAIRWISE_CLAUSES: u128 = 1_000_000;
-
-/// `C(n, r)` if it is at most `cap`, else `None`. Uses the smaller of
-/// `r` and `n - r`, so the running prefix values `C(n, 1) … C(n, r)`
-/// are nondecreasing and the early exit is exact; `checked_mul` catches
-/// the step where the product itself would wrap `u128`.
-fn binomial_capped(n: usize, r: usize, cap: u128) -> Option<u128> {
-    let r = r.min(n - r);
-    let mut value: u128 = 1;
-    for i in 0..r {
-        value = value.checked_mul((n - i) as u128)? / (i as u128 + 1);
-        if value > cap {
-            return None;
-        }
-    }
-    Some(value)
-}
-
-fn pairwise_at_most<S: CnfSink>(sink: &mut S, lits: &[Lit], k: usize) {
-    let n = lits.len();
-    // The clause count C(n, k+1) must be bounded *while* it is computed:
-    // for large (n, k) the full binomial product wraps u128 silently in
-    // release builds, can land back under the budget, and the clause
-    // loop below then effectively hangs.
-    let combos = binomial_capped(n, k + 1, MAX_PAIRWISE_CLAUSES);
-    assert!(
-        combos.is_some(),
-        "pairwise at-most-{k} over {n} literals needs more than \
-         {MAX_PAIRWISE_CLAUSES} clauses; use another encoding"
-    );
-    // Emit one clause per (k+1)-subset: ¬l_{i1} ∨ … ∨ ¬l_{ik+1}.
-    let mut idx: Vec<usize> = (0..=k).collect();
-    loop {
-        let clause: Vec<Lit> = idx.iter().map(|&i| !lits[i]).collect();
-        sink.add_clause(&clause);
-        // Next combination.
-        let mut pos = k + 1;
-        loop {
-            if pos == 0 {
-                return;
-            }
-            pos -= 1;
-            if idx[pos] != pos + n - (k + 1) {
-                break;
-            }
-            if pos == 0 {
-                return;
-            }
-        }
-        idx[pos] += 1;
-        for j in (pos + 1)..=k {
-            idx[j] = idx[j - 1] + 1;
-        }
-    }
-}
-
-/// Sinz's sequential counter: registers `s[i][j]` meaning "at least `j+1`
-/// of the first `i+1` literals are true".
-#[allow(clippy::needless_range_loop)] // indices mirror the textbook subscripts
-fn sequential_at_most<S: CnfSink>(sink: &mut S, lits: &[Lit], k: usize) {
-    let n = lits.len();
-    debug_assert!(k >= 1 && k < n);
-    // s[i][j], i in 0..n-1 (no register row needed for the last literal),
-    // j in 0..k.
-    let rows = n - 1;
-    let mut s: Vec<Vec<Lit>> = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        s.push((0..k).map(|_| sink.new_var().positive()).collect());
-    }
-    // x_0 → s_{0,0}
-    sink.add_clause(&[!lits[0], s[0][0]]);
-    // ¬s_{0,j} for j ≥ 1
-    for j in 1..k {
-        sink.add_clause(&[!s[0][j]]);
-    }
-    for i in 1..rows {
-        // x_i → s_{i,0}
-        sink.add_clause(&[!lits[i], s[i][0]]);
-        // s_{i-1,j} → s_{i,j}
-        for j in 0..k {
-            sink.add_clause(&[!s[i - 1][j], s[i][j]]);
-        }
-        // x_i ∧ s_{i-1,j-1} → s_{i,j}
-        for j in 1..k {
-            sink.add_clause(&[!lits[i], !s[i - 1][j - 1], s[i][j]]);
-        }
-        // x_i → ¬s_{i-1,k-1}  (would overflow to k+1)
-        sink.add_clause(&[!lits[i], !s[i - 1][k - 1]]);
-    }
-    // Last literal: x_{n-1} → ¬s_{n-2,k-1}
-    sink.add_clause(&[!lits[n - 1], !s[rows - 1][k - 1]]);
-}
-
-/// Which encoding [`assert_at_most_one`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AmoEncoding {
-    /// One clause per pair: `O(n²)` clauses, zero auxiliary variables.
-    Pairwise,
-    /// Commander encoding (Klieber & Kwon): groups of three with a
-    /// commander variable each, recursing over commanders — `O(n)`
-    /// clauses and `O(n/2)` auxiliary variables.
-    #[default]
-    Commander,
-}
-
-/// Asserts `Σ lits ≤ 1` with an encoding specialized for the
-/// at-most-one case (much lighter than the general counters).
-pub fn assert_at_most_one<S: CnfSink>(sink: &mut S, lits: &[Lit], enc: AmoEncoding) {
-    if lits.len() <= 1 {
-        return;
-    }
-    match enc {
-        AmoEncoding::Pairwise => {
-            for i in 0..lits.len() {
-                for j in (i + 1)..lits.len() {
-                    sink.add_clause(&[!lits[i], !lits[j]]);
-                }
-            }
-        }
-        AmoEncoding::Commander => commander_amo(sink, lits),
-    }
-}
-
-fn commander_amo<S: CnfSink>(sink: &mut S, lits: &[Lit]) {
-    const GROUP: usize = 3;
-    if lits.len() <= GROUP + 1 {
-        // Small enough: pairwise is optimal.
-        assert_at_most_one(sink, lits, AmoEncoding::Pairwise);
-        return;
-    }
-    let mut commanders: Vec<Lit> = Vec::with_capacity(lits.len().div_ceil(GROUP));
-    for group in lits.chunks(GROUP) {
-        let c = sink.new_var().positive();
-        // At most one within the group.
-        assert_at_most_one(sink, group, AmoEncoding::Pairwise);
-        // x → c for each member (so two groups cannot both fire).
-        for &x in group {
-            sink.add_clause(&[!x, c]);
-        }
-        // c → some member (keeps the commander exact, which lets this
-        // encoding nest inside definitions).
-        let mut clause: Vec<Lit> = group.to_vec();
-        clause.push(!c);
-        sink.add_clause(&clause);
-        commanders.push(c);
-    }
-    commander_amo(sink, &commanders);
-}
 
 /// A unary counter over a set of literals (totalizer encoding).
 ///
@@ -420,27 +202,25 @@ mod tests {
         (0..n).map(|_| s.new_var().positive()).collect()
     }
 
-    /// Checks an asserted at-most-k against popcount over all assignments.
-    fn check_at_most(n: usize, k: usize, enc: CardEncoding) {
+    /// Checks a counter's asserted `Σ ≤ k` (`at_most`) or `Σ ≥ k`
+    /// against popcount over all assignments.
+    fn check_bound(n: usize, k: usize, at_most: bool) {
         let mut s = Solver::new();
         let xs = fresh(&mut s, n);
-        assert_at_most(&mut s, &xs, k, enc);
+        let counter = UnaryCounter::build(&mut s, &xs);
+        if at_most {
+            counter.assert_at_most(&mut s, k);
+        } else {
+            counter.assert_at_least(&mut s, k);
+        }
         for bits in 0..(1u32 << n) {
             let assumptions: Vec<Lit> = (0..n)
                 .map(|i| if (bits >> i) & 1 == 1 { xs[i] } else { !xs[i] })
                 .collect();
-            let expected = bits.count_ones() as usize <= k;
+            let pop = bits.count_ones() as usize;
+            let expected = if at_most { pop <= k } else { pop >= k };
             let got = s.solve_with_assumptions(&assumptions) == SolveResult::Sat;
-            assert_eq!(got, expected, "n={n} k={k} bits={bits:b} enc={enc:?}");
-        }
-    }
-
-    #[test]
-    fn sequential_matches_popcount() {
-        for n in 1..=6 {
-            for k in 0..=n {
-                check_at_most(n, k, CardEncoding::Sequential);
-            }
+            assert_eq!(got, expected, "n={n} k={k} bits={bits:b} at_most={at_most}");
         }
     }
 
@@ -448,59 +228,15 @@ mod tests {
     fn totalizer_matches_popcount() {
         for n in 1..=6 {
             for k in 0..=n {
-                check_at_most(n, k, CardEncoding::Totalizer);
-            }
-        }
-    }
-
-    #[test]
-    fn pairwise_matches_popcount() {
-        for n in 1..=6 {
-            for k in 0..=n {
-                check_at_most(n, k, CardEncoding::Pairwise);
+                check_bound(n, k, true);
             }
         }
     }
 
     #[test]
     fn at_least_matches_popcount() {
-        for enc in [
-            CardEncoding::Pairwise,
-            CardEncoding::Sequential,
-            CardEncoding::Totalizer,
-        ] {
-            let n = 5;
-            for k in 0..=n + 1 {
-                let mut s = Solver::new();
-                let xs = fresh(&mut s, n);
-                assert_at_least(&mut s, &xs, k, enc);
-                for bits in 0..(1u32 << n) {
-                    let assumptions: Vec<Lit> = (0..n)
-                        .map(|i| if (bits >> i) & 1 == 1 { xs[i] } else { !xs[i] })
-                        .collect();
-                    let expected = bits.count_ones() as usize >= k;
-                    let got = s.solve_with_assumptions(&assumptions) == SolveResult::Sat;
-                    assert_eq!(got, expected, "n={n} k={k} bits={bits:b} enc={enc:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn exactly_matches_popcount() {
-        let n = 5;
-        for k in 0..=n {
-            let mut s = Solver::new();
-            let xs = fresh(&mut s, n);
-            assert_exactly(&mut s, &xs, k, CardEncoding::Totalizer);
-            for bits in 0..(1u32 << n) {
-                let assumptions: Vec<Lit> = (0..n)
-                    .map(|i| if (bits >> i) & 1 == 1 { xs[i] } else { !xs[i] })
-                    .collect();
-                let expected = bits.count_ones() as usize == k;
-                let got = s.solve_with_assumptions(&assumptions) == SolveResult::Sat;
-                assert_eq!(got, expected, "k={k} bits={bits:b}");
-            }
+        for k in 0..=6 {
+            check_bound(5, k, false);
         }
     }
 
@@ -629,80 +365,5 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Sat);
         counter.assert_at_least(&mut s, 1); // unsatisfiable
         assert_eq!(s.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn amo_encodings_match_popcount() {
-        for enc in [AmoEncoding::Pairwise, AmoEncoding::Commander] {
-            for n in 1..=9 {
-                let mut s = Solver::new();
-                let xs = fresh(&mut s, n);
-                assert_at_most_one(&mut s, &xs, enc);
-                for bits in 0..(1u32 << n) {
-                    let assumptions: Vec<Lit> = (0..n)
-                        .map(|i| if (bits >> i) & 1 == 1 { xs[i] } else { !xs[i] })
-                        .collect();
-                    let expected = bits.count_ones() <= 1;
-                    let got = s.solve_with_assumptions(&assumptions) == SolveResult::Sat;
-                    assert_eq!(got, expected, "enc={enc:?} n={n} bits={bits:b}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn commander_uses_fewer_clauses_at_scale() {
-        use satcore::Cnf;
-        let n = 60;
-        let mut pairwise = Cnf::new();
-        let xs: Vec<Lit> = (0..n).map(|_| pairwise.new_var().positive()).collect();
-        assert_at_most_one(&mut pairwise, &xs, AmoEncoding::Pairwise);
-        let mut commander = Cnf::new();
-        let xs: Vec<Lit> = (0..n).map(|_| commander.new_var().positive()).collect();
-        assert_at_most_one(&mut commander, &xs, AmoEncoding::Commander);
-        assert!(
-            commander.clauses.len() < pairwise.clauses.len() / 4,
-            "commander {} vs pairwise {}",
-            commander.clauses.len(),
-            pairwise.clauses.len()
-        );
-    }
-
-    /// C(140, 70) ≈ 2¹³⁶ overflows even u128. The old guard computed
-    /// the full product first (wrapping in release, aborting with a
-    /// bare overflow panic in debug) — the fix must refuse with the
-    /// clean "use another encoding" message instead, before emitting a
-    /// single clause.
-    #[test]
-    #[should_panic(expected = "use another encoding")]
-    fn pairwise_guard_survives_u128_overflow() {
-        use satcore::Cnf;
-        let mut cnf = Cnf::new();
-        let xs: Vec<Lit> = (0..140).map(|_| cnf.new_var().positive()).collect();
-        assert_at_most(&mut cnf, &xs, 69, CardEncoding::Pairwise);
-    }
-
-    /// A large-n, near-n k is fine — C(40, 39) is only 40 clauses — but
-    /// a naive early-exit on the *ascending* prefix C(40, 1..=39) would
-    /// bail at C(40, 20) ≈ 1.4 × 10¹¹. The symmetric computation must
-    /// keep accepting it.
-    #[test]
-    fn pairwise_guard_keeps_symmetric_small_counts() {
-        use satcore::Cnf;
-        let mut cnf = Cnf::new();
-        let xs: Vec<Lit> = (0..40).map(|_| cnf.new_var().positive()).collect();
-        assert_at_most(&mut cnf, &xs, 38, CardEncoding::Pairwise);
-        assert_eq!(cnf.clauses.len(), 40);
-    }
-
-    #[test]
-    fn at_most_zero_forces_all_false() {
-        let mut s = Solver::new();
-        let xs = fresh(&mut s, 4);
-        assert_at_most(&mut s, &xs, 0, CardEncoding::Sequential);
-        assert_eq!(s.solve(), SolveResult::Sat);
-        for x in &xs {
-            assert_eq!(s.value_of(x.var()), Some(false));
-        }
     }
 }

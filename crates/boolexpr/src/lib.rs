@@ -1,4 +1,4 @@
-//! # boolexpr — formulas, Tseitin transformation, cardinality encodings
+//! # boolexpr — formulas, Tseitin transformation, cardinality counters
 //!
 //! This crate is the "SMT-lite" layer of the SCADA resiliency analyzer:
 //! it turns the DSN'16 paper's logical model — arbitrary Boolean structure
@@ -8,36 +8,8 @@
 //!   simplification,
 //! * [`Encoder`] performs the Tseitin transformation, defining every
 //!   derived term as a full biconditional,
-//! * [`cardinality`] provides asserted bounds (pairwise, sequential
-//!   counter) and the reified [`UnaryCounter`] (totalizer) used for
-//!   failure budgets and measurement-count thresholds.
-//!
-//! # Examples
-//!
-//! Encode "at most one of a, b, c, and (a ∨ c)":
-//!
-//! ```
-//! use boolexpr::{assert_at_most, CardEncoding, Encoder, ExprPool};
-//! use satcore::{CnfSink, SolveResult, Solver};
-//!
-//! let mut solver = Solver::new();
-//! let lits: Vec<_> = (0..3).map(|_| solver.new_var().positive()).collect();
-//!
-//! assert_at_most(&mut solver, &lits, 1, CardEncoding::Sequential);
-//!
-//! let mut pool = ExprPool::new();
-//! let a = pool.lit(lits[0]);
-//! let c = pool.lit(lits[2]);
-//! let ac = pool.or([a, c]);
-//! Encoder::new().assert(&pool, ac, &mut solver);
-//!
-//! assert_eq!(solver.solve(), SolveResult::Sat);
-//! let trues = lits
-//!     .iter()
-//!     .filter(|l| solver.value_of(l.var()) == Some(true))
-//!     .count();
-//! assert_eq!(trues, 1);
-//! ```
+//! * [`cardinality`] provides the reified [`UnaryCounter`] (totalizer)
+//!   used for failure budgets and measurement-count thresholds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,9 +18,6 @@ pub mod cardinality;
 mod expr;
 mod tseitin;
 
-pub use cardinality::{
-    assert_at_least, assert_at_most, assert_at_most_one, assert_exactly, AmoEncoding, CardEncoding,
-    UnaryCounter,
-};
+pub use cardinality::UnaryCounter;
 pub use expr::{ExprPool, Node, NodeRef};
 pub use tseitin::Encoder;

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use boolexpr::{assert_at_most, CardEncoding, Encoder, ExprPool, NodeRef, UnaryCounter};
+use boolexpr::{Encoder, ExprPool, NodeRef, UnaryCounter};
 use satcore::{CnfSink, Lit, SolveResult, Solver, Var};
 
 /// A recipe for building a random expression over `n` base literals.
@@ -140,29 +140,6 @@ proptest! {
             let expected = eval_recipe(&recipe, &assignment);
             let got = solver.solve_with_assumptions(&assumptions) == SolveResult::Sat;
             prop_assert_eq!(got, expected, "assignment {:?}", assignment);
-        }
-    }
-
-    /// All three cardinality encodings agree with popcount on random
-    /// (n, k) and random forced sub-assignments.
-    #[test]
-    fn cardinality_encodings_agree(
-        n in 1usize..8,
-        k_raw in 0usize..8,
-        bits in 0u32..256,
-    ) {
-        let k = k_raw % (n + 1);
-        let bits = bits & ((1 << n) - 1);
-        for enc in [CardEncoding::Pairwise, CardEncoding::Sequential, CardEncoding::Totalizer] {
-            let mut solver = Solver::new();
-            let xs: Vec<Lit> = (0..n).map(|_| solver.new_var().positive()).collect();
-            assert_at_most(&mut solver, &xs, k, enc);
-            let assumptions: Vec<Lit> = (0..n)
-                .map(|i| if (bits >> i) & 1 == 1 { xs[i] } else { !xs[i] })
-                .collect();
-            let expected = (bits.count_ones() as usize) <= k;
-            let got = solver.solve_with_assumptions(&assumptions) == SolveResult::Sat;
-            prop_assert_eq!(got, expected, "enc={:?} n={} k={} bits={:b}", enc, n, k, bits);
         }
     }
 

@@ -44,8 +44,9 @@
 //! verdict cache in front of the sessions (so repeated queries answer
 //! without touching the solver at all). Clients speak one JSON object
 //! per line: `load`, `verify`, `maxres`, `enumerate`, `security_index`,
-//! `patch`, `batch`, `stats`, `evict`, `health`, `shutdown`.
-//! `scada-analyzer --connect ADDR` is a ready-made client.
+//! `repair`, `patch`, `batch`, `stats`, `evict`, `health`, `shutdown`.
+//! `scada-analyzer --connect ADDR` is a ready-made client (and without
+//! `--connect` it sends the same requests to an in-process engine).
 //!
 //! The `batch` op (`{"op":"batch","dir":"fleet/","jobs":4}`) audits a
 //! whole directory of channel-directory configs in one request: the

@@ -132,6 +132,27 @@ struct LogInner {
     checks: AtomicU64,
     failures: AtomicU64,
     first_failure: Mutex<Option<String>>,
+    /// The log a scoped log also records into.
+    parent: Option<CertificationLog>,
+}
+
+/// Verdicts certified in some scope, and how many of them failed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CertCounts {
+    /// Verdicts certified (`Unchecked` ones included).
+    pub checks: u64,
+    /// Certification failures among them.
+    pub failures: u64,
+}
+
+impl CertCounts {
+    /// The counts recorded after `earlier` was read from the same log.
+    pub fn since(self, earlier: CertCounts) -> CertCounts {
+        CertCounts {
+            checks: self.checks - earlier.checks,
+            failures: self.failures - earlier.failures,
+        }
+    }
 }
 
 impl CertificationLog {
@@ -155,6 +176,25 @@ impl CertificationLog {
         self.inner.first_failure.lock().unwrap().clone()
     }
 
+    /// Checks and failures so far.
+    pub fn counts(&self) -> CertCounts {
+        CertCounts {
+            checks: self.checks(),
+            failures: self.failures(),
+        }
+    }
+
+    /// A fresh log whose records also land in this one: it tallies one
+    /// scope (an analyzer, a query) of a shared run on its own.
+    pub fn scoped(&self) -> CertificationLog {
+        CertificationLog {
+            inner: Arc::new(LogInner {
+                parent: Some(self.clone()),
+                ..LogInner::default()
+            }),
+        }
+    }
+
     pub(crate) fn record(&self, certificate: &Certificate) {
         self.inner.checks.fetch_add(1, Ordering::Relaxed);
         if let Certificate::Failed { reason } = certificate {
@@ -163,6 +203,9 @@ impl CertificationLog {
             if first.is_none() {
                 *first = Some(reason.clone());
             }
+        }
+        if let Some(parent) = &self.inner.parent {
+            parent.record(certificate);
         }
     }
 }

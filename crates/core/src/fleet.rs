@@ -356,7 +356,8 @@ pub struct ReportRow {
     pub property: Option<String>,
     /// Verify verdict (`resilient|threat|unknown`).
     pub verdict: Option<String>,
-    /// Certificate status when the engine certifies.
+    /// Certificate status when the engine certifies: the verdict's,
+    /// or `failed` when a check of the sweep or the index failed.
     pub certificate: Option<String>,
     /// Max resiliency along the total axis (`None` inner = undecided).
     pub max: Option<Option<u64>>,
@@ -556,25 +557,6 @@ impl BatchOutcome {
             .count()
     }
 
-    /// The process exit code the CLI maps this report to: `4` when any
-    /// certificate failed, else `6` when any config errored, else `1`
-    /// when any threat was found, else `3` when anything was undecided,
-    /// else `0`.
-    pub fn exit_code(&self) -> u8 {
-        let any = |f: &dyn Fn(&ReportRow) -> bool| self.rows.iter().any(f);
-        if any(&|r| r.certificate.as_deref() == Some("failed")) {
-            4
-        } else if any(&|r| r.error.is_some()) {
-            6
-        } else if any(&|r| r.verdict.as_deref() == Some("threat")) {
-            1
-        } else if any(&|r| r.verdict.as_deref() == Some("unknown") || r.max == Some(None)) {
-            3
-        } else {
-            0
-        }
-    }
-
     /// Renders the consolidated `batch` reply line.
     pub fn render_line(&self, elapsed_us: u128) -> String {
         let mut out = String::from("{\"ok\":true,\"op\":\"batch\"");
@@ -625,6 +607,19 @@ fn reply_error(parsed: &Json, op: &str) -> Option<String> {
         Some(message) => format!("{op}: {message}"),
         None => format!("{op}: no reply"),
     })
+}
+
+/// A row whose sweep or index failed a certification check reports a
+/// failed certificate, whatever its verdict's certificate said.
+fn mark_cert_failures(row: &mut ReportRow, reply: &Json) {
+    if reply
+        .get("cert_failures")
+        .and_then(Json::as_u64)
+        .unwrap_or(0)
+        > 0
+    {
+        row.certificate = Some("failed".to_string());
+    }
 }
 
 fn spec_json(member: &FleetMember) -> String {
@@ -782,6 +777,7 @@ fn query_member(
         return;
     }
     row.max = Some(maxres.get("max").and_then(Json::as_u64));
+    mark_cert_failures(row, &maxres);
 
     let index = send(
         submit,
@@ -792,6 +788,7 @@ fn query_member(
         return;
     }
     row.index_floor = index.get("min").and_then(Json::as_u64);
+    mark_cert_failures(row, &index);
     if let Some(indices) = index.get("indices").and_then(Json::as_arr) {
         let mut histogram: BTreeMap<u64, u64> = BTreeMap::new();
         for value in indices {
@@ -1058,7 +1055,6 @@ mod tests {
             rows: vec![row, err],
         };
         assert_eq!(outcome.failed(), 1);
-        assert_eq!(outcome.exit_code(), 6);
         assert!(parse_json(&outcome.render_line(1)).is_ok());
     }
 

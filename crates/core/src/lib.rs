@@ -77,13 +77,13 @@ pub mod synthesis;
 mod threat;
 mod verify;
 
-pub use certify::{CertFault, Certificate, CertificationLog, CertifyOptions};
+pub use certify::{CertCounts, CertFault, Certificate, CertificationLog, CertifyOptions};
 pub use encode::{DeltaStats, SearchOutcome};
 pub use enumerate::{enumerate_threats, enumerate_threats_with, ThreatSpace};
 pub use input::AnalysisInput;
 pub use maxres::BudgetAxis;
 pub use obs::{JsonlTracer, MetricsRegistry, Obs, TraceEvent, TraceSink};
-pub use parallel::{par_max_resiliency, par_resiliency_frontier, verify_batch};
+pub use parallel::par_max_resiliency;
 pub use patch::{ModelPatch, PatchError};
 pub use security_index::{
     served_distribution, SecurityIndexAnalyzer, SecurityIndexDistribution, SecurityIndexReport,

@@ -168,7 +168,7 @@ pub enum TraceEvent {
     },
     /// A parallel fleet started.
     FleetStart {
-        /// What the fleet computes (e.g. `"verify_batch"`).
+        /// What the fleet computes (e.g. `"max_resiliency"`).
         label: &'static str,
         /// Worker threads.
         jobs: usize,

@@ -72,7 +72,10 @@ pub use hash::{advance_model_hash, model_hash, security_normalized_hash, ModelHa
 pub use journal::{
     Durability, FaultKind, FaultPlan, Journal, JournalConfig, JournalError, JournaledEngine,
 };
-pub use protocol::{parse_json, parse_request, CertStatus, Json, LimitsSpec, QueryReply, Request};
+pub use protocol::{
+    parse_json, parse_pairs, parse_request, parse_threat, CertStatus, Json, LimitsSpec, QueryReply,
+    Request,
+};
 pub use replica::ReplicaCache;
 pub use server::{serve_stdio, serve_tcp, Engine, LineHandler, Response, ServeOptions};
 pub use session::{Retired, SessionManager};

@@ -15,6 +15,7 @@
 //! {"op":"maxres","model":"<hex>","property":"secured","axis":"total","r":1}
 //! {"op":"enumerate","model":"<hex>","property":"obs","spec":{"k":2},"cap":50}
 //! {"op":"security_index","model":"<hex>"}          per-measurement attack costs
+//! {"op":"repair","model":"<hex>","property":"secured","spec":{"k1":1,"k2":1}}
 //! {"op":"patch","model":"<hex>","patch":{"remove_device":7}}
 //! {"op":"stats"}                                    service counters
 //! {"op":"evict","model":"<hex>"}                    drop a warm session
@@ -48,11 +49,13 @@ use std::time::Duration;
 
 use scadasim::{CryptoProfile, DeviceId, DeviceKind};
 
+use crate::certify::CertCounts;
 use crate::encode::DeltaStats;
 use crate::maxres::BudgetAxis;
 use crate::obs::json_escape_into;
 use crate::patch::ModelPatch;
 use crate::spec::{Property, QueryLimits, ResiliencySpec, RetryPolicy};
+use crate::synthesis::SynthesisResult;
 use crate::threat::ThreatVector;
 use crate::verify::Verdict;
 
@@ -557,6 +560,16 @@ pub enum Request {
         /// Target model.
         model: ModelHash,
     },
+    /// Synthesize minimal hop-security upgrades that make a secured or
+    /// bad-data spec hold on a loaded model (read-only, never cached).
+    Repair {
+        /// Target model.
+        model: ModelHash,
+        /// Property to repair (`secured` or `baddata`).
+        property: Property,
+        /// Resiliency spec the upgrades must satisfy.
+        spec: ResiliencySpec,
+    },
     /// Apply a model delta to a warm session in place.
     Patch {
         /// Target model (the hash *before* the patch).
@@ -859,6 +872,21 @@ fn decode_request(obj: &Json) -> Result<Request, String> {
         "security_index" => Ok(Request::SecurityIndex {
             model: parse_model(obj)?,
         }),
+        "repair" => {
+            let property = parse_property(obj)?;
+            if property == Property::Observability {
+                return Err(
+                    "repair needs property secured or baddata (plain observability \
+                            does not depend on security profiles)"
+                        .to_string(),
+                );
+            }
+            Ok(Request::Repair {
+                model: parse_model(obj)?,
+                property,
+                spec: parse_spec(obj)?,
+            })
+        }
         "patch" => Ok(Request::Patch {
             model: parse_model(obj)?,
             patch: parse_patch(obj)?,
@@ -933,9 +961,11 @@ pub enum QueryReply {
         /// The maximum budget at which the property still holds; `None`
         /// when the property fails with nothing failed, or when the
         /// search was undecided at some step. Only the request's limits
-        /// tell the two apart (see [`QueryReply::is_cacheable`]), so
-        /// [`QueryReply::exit_hint`] reads every `None` as undecided.
+        /// tell the two apart (see [`QueryReply::is_cacheable`]), so a
+        /// client reads every `None` as undecided.
         max: Option<usize>,
+        /// Certification outcomes of the sweep's rungs.
+        cert: CertCounts,
     },
     /// Reply to `enumerate`.
     Enumerate {
@@ -945,6 +975,8 @@ pub enum QueryReply {
         truncated: bool,
         /// Whether a resource limit left the space undecided.
         undecided: bool,
+        /// Certification outcomes of the enumeration's queries.
+        cert: CertCounts,
     },
     /// Reply to `security_index`.
     SecurityIndex {
@@ -960,6 +992,13 @@ pub enum QueryReply {
         /// Per-component certification failures (non-zero only when the
         /// service runs certified and a verdict fails to check).
         cert_failures: usize,
+    },
+    /// Reply to `repair` (never cached).
+    Repair {
+        /// The synthesis outcome.
+        result: SynthesisResult,
+        /// Certification outcomes of the candidates' verifications.
+        cert: CertCounts,
     },
     /// Reply to `patch` (never cached — the engine rekeys the session
     /// and renders it through `patch_line`, not `reply_line`).
@@ -984,58 +1023,14 @@ impl QueryReply {
                 certificate,
                 ..
             } => !verdict.is_unknown() && !matches!(certificate, Some(CertStatus::Failed(_))),
-            QueryReply::MaxRes { max } => max.is_some() || !limits.is_bounded(),
-            QueryReply::Enumerate { undecided, .. } => !undecided,
-            QueryReply::SecurityIndex { cert_failures, .. } => *cert_failures == 0,
-            QueryReply::Patched { .. } => false,
-        }
-    }
-
-    /// Whether the reply should map to a non-zero client exit code
-    /// (mirrors the CLI: threat → 1, undecided → 3, cert failure → 4).
-    pub fn exit_hint(&self) -> u8 {
-        match self {
-            QueryReply::Verify {
-                certificate: Some(CertStatus::Failed(_)),
-                ..
-            } => 4,
-            QueryReply::Verify { verdict, .. } => match verdict {
-                Verdict::Resilient => 0,
-                Verdict::Threat(_) => 1,
-                Verdict::Unknown { .. } => 3,
-            },
-            QueryReply::MaxRes { max } => {
-                if max.is_some() {
-                    0
-                } else {
-                    3
-                }
+            QueryReply::MaxRes { max, cert } => {
+                (max.is_some() || !limits.is_bounded()) && cert.failures == 0
             }
             QueryReply::Enumerate {
-                vectors, undecided, ..
-            } => {
-                if *undecided {
-                    3
-                } else if !vectors.is_empty() {
-                    1
-                } else {
-                    0
-                }
-            }
-            QueryReply::SecurityIndex { cert_failures, .. } => {
-                if *cert_failures > 0 {
-                    4
-                } else {
-                    0
-                }
-            }
-            QueryReply::Patched { result } => {
-                if result.is_ok() {
-                    0
-                } else {
-                    2
-                }
-            }
+                undecided, cert, ..
+            } => !undecided && cert.failures == 0,
+            QueryReply::SecurityIndex { cert_failures, .. } => *cert_failures == 0,
+            QueryReply::Repair { .. } | QueryReply::Patched { .. } => false,
         }
     }
 }
@@ -1070,14 +1065,73 @@ fn push_threat(out: &mut String, vector: &ThreatVector) {
     push_ids(out, &vector.rtus);
     out.push_str(",\"others\":");
     push_ids(out, &vector.others);
-    out.push_str(",\"links\":[");
-    for (i, (a, b)) in vector.links.iter().enumerate() {
+    out.push_str(",\"links\":");
+    push_pairs(out, &vector.links);
+    out.push('}');
+}
+
+/// Appends `cert_checks` and `cert_failures` when the query certified
+/// anything; an uncertified reply carries neither.
+fn push_cert_counts(out: &mut String, cert: &CertCounts) {
+    if cert.checks > 0 {
+        out.push_str(&format!(
+            ",\"cert_checks\":{},\"cert_failures\":{}",
+            cert.checks, cert.failures
+        ));
+    }
+}
+
+fn push_pairs(out: &mut String, pairs: &[(DeviceId, DeviceId)]) {
+    out.push('[');
+    for (i, (a, b)) in pairs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!("[{},{}]", a.one_based(), b.one_based()));
     }
-    out.push_str("]}");
+    out.push(']');
+}
+
+/// Parses a wire device-pair array (`[[1,3],[2,3]]`): a threat's
+/// `links`, a repair's `upgrades`.
+///
+/// # Errors
+///
+/// Anything but an array of two-element arrays of 1-based ids.
+pub fn parse_pairs(value: &Json) -> Result<Vec<(DeviceId, DeviceId)>, String> {
+    value
+        .as_arr()
+        .ok_or("expected an array of device pairs")?
+        .iter()
+        .map(|pair| match pair.as_arr() {
+            Some([a, b]) => Ok((parse_wire_device(a)?, parse_wire_device(b)?)),
+            _ => Err("a device pair must be a two-element array".to_string()),
+        })
+        .collect()
+}
+
+/// Parses a wire threat object back into the [`ThreatVector`] it was
+/// rendered from, so clients print it with its `Display`.
+///
+/// # Errors
+///
+/// A missing or malformed `ieds`, `rtus`, `others` or `links` field.
+pub fn parse_threat(threat: &Json) -> Result<ThreatVector, String> {
+    let ids = |key: &str| -> Result<Vec<DeviceId>, String> {
+        threat
+            .get(key)
+            .and_then(Json::as_arr)
+            .ok_or_else(|| format!("threat needs an {key:?} array"))?
+            .iter()
+            .map(parse_wire_device)
+            .collect()
+    };
+    Ok(ThreatVector {
+        ieds: ids("ieds")?,
+        rtus: ids("rtus")?,
+        others: ids("others")?,
+        links: parse_pairs(threat.get("links").ok_or("threat needs \"links\"")?)?,
+    })
 }
 
 /// Renders an error response.
@@ -1245,18 +1299,20 @@ pub(crate) fn reply_line(
                 }
             }
         }
-        QueryReply::MaxRes { max } => {
+        QueryReply::MaxRes { max, cert } => {
             push_str_field(&mut out, "op", "maxres");
             push_str_field(&mut out, "model", &model.to_string());
             match max {
                 Some(k) => out.push_str(&format!(",\"max\":{k}")),
                 None => out.push_str(",\"max\":null"),
             }
+            push_cert_counts(&mut out, cert);
         }
         QueryReply::Enumerate {
             vectors,
             truncated,
             undecided,
+            cert,
         } => {
             push_str_field(&mut out, "op", "enumerate");
             push_str_field(&mut out, "model", &model.to_string());
@@ -1271,6 +1327,7 @@ pub(crate) fn reply_line(
                 push_threat(&mut out, vector);
             }
             out.push(']');
+            push_cert_counts(&mut out, cert);
         }
         QueryReply::SecurityIndex {
             indices,
@@ -1293,6 +1350,19 @@ pub(crate) fn reply_line(
                 out.push_str(&index.to_string());
             }
             out.push(']');
+        }
+        QueryReply::Repair { result, cert } => {
+            push_str_field(&mut out, "op", "repair");
+            push_str_field(&mut out, "model", &model.to_string());
+            let (outcome, upgrades): (&str, &[_]) = match result {
+                SynthesisResult::AlreadyResilient => ("nothing", &[]),
+                SynthesisResult::Upgrades(upgrades) => ("upgrades", upgrades),
+                SynthesisResult::Infeasible => ("infeasible", &[]),
+            };
+            push_str_field(&mut out, "repair", outcome);
+            out.push_str(",\"upgrades\":");
+            push_pairs(&mut out, upgrades);
+            push_cert_counts(&mut out, cert);
         }
         QueryReply::Patched { .. } => {
             unreachable!("patch replies are rendered by patch_line, never cached or replayed")
@@ -1526,7 +1596,6 @@ mod tests {
             cert_failures: 0,
         };
         assert!(reply.is_cacheable(&LimitsSpec::default()));
-        assert_eq!(reply.exit_hint(), 0);
         let line = reply_line(ModelHash(1), &reply, "cached", 55);
         let parsed = parse_json(&line).unwrap();
         assert_eq!(
@@ -1553,7 +1622,72 @@ mod tests {
             cert_failures: 1,
         };
         assert!(!failed.is_cacheable(&LimitsSpec::default()));
-        assert_eq!(failed.exit_hint(), 4);
+    }
+
+    #[test]
+    fn repair_request_and_reply_round_trip() {
+        let line = |property: &str| {
+            format!(
+                "{{\"op\":\"repair\",\"model\":\"000102030405060708090a0b0c0d0e0f\",\
+                 \"property\":\"{property}\",\"spec\":{{\"k1\":1,\"k2\":1}}}}"
+            )
+        };
+        assert!(matches!(
+            parse_request(&line("secured")),
+            Ok(Request::Repair {
+                property: Property::SecuredObservability,
+                ..
+            })
+        ));
+        // Upgrades cannot repair plain observability: a wire error, not
+        // the synthesizer's panic.
+        assert!(parse_request(&line("obs")).is_err());
+
+        let upgrades = vec![(DeviceId(0), DeviceId(8)), (DeviceId(9), DeviceId(10))];
+        let reply = QueryReply::Repair {
+            result: SynthesisResult::Upgrades(upgrades.clone()),
+            cert: CertCounts::default(),
+        };
+        assert!(!reply.is_cacheable(&LimitsSpec::default()));
+        let line = reply_line(ModelHash(1), &reply, "warm", 5);
+        assert!(!line.contains("cert_"), "uncertified: {line}");
+        let parsed = parse_json(&line).unwrap();
+        assert_eq!(
+            parsed.get("repair").and_then(Json::as_str),
+            Some("upgrades")
+        );
+        assert_eq!(parse_pairs(parsed.get("upgrades").unwrap()), Ok(upgrades));
+
+        let certified = QueryReply::Repair {
+            result: SynthesisResult::Infeasible,
+            cert: CertCounts {
+                checks: 5,
+                failures: 2,
+            },
+        };
+        let parsed = parse_json(&reply_line(ModelHash(1), &certified, "warm", 5)).unwrap();
+        assert_eq!(parsed.get("cert_checks").and_then(Json::as_u64), Some(5));
+        assert_eq!(parsed.get("cert_failures").and_then(Json::as_u64), Some(2));
+    }
+
+    #[test]
+    fn threats_round_trip_through_the_wire() {
+        let vector = ThreatVector {
+            ieds: vec![DeviceId(1), DeviceId(6)],
+            rtus: vec![DeviceId(10)],
+            others: vec![],
+            links: vec![(DeviceId(0), DeviceId(8))],
+        };
+        let mut rendered = String::new();
+        push_threat(&mut rendered, &vector);
+        assert_eq!(parse_threat(&parse_json(&rendered).unwrap()), Ok(vector));
+        for bad in [
+            "{\"ieds\":[0],\"rtus\":[],\"others\":[],\"links\":[]}",
+            "{\"ieds\":[1],\"rtus\":[],\"links\":[]}",
+            "{\"ieds\":[],\"rtus\":[],\"others\":[],\"links\":[[1]]}",
+        ] {
+            assert!(parse_threat(&parse_json(bad).unwrap()).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -1568,10 +1702,11 @@ mod tests {
             certificate: None,
         };
         assert!(!unknown.is_cacheable(&LimitsSpec::default()));
-        assert_eq!(unknown.exit_hint(), 3);
-        let decided = QueryReply::MaxRes { max: Some(2) };
+        let decided = QueryReply::MaxRes {
+            max: Some(2),
+            cert: CertCounts::default(),
+        };
         assert!(decided.is_cacheable(&LimitsSpec::default()));
-        assert_eq!(decided.exit_hint(), 0);
         let failed = QueryReply::Verify {
             verdict: Verdict::Resilient,
             conflicts: 0,
@@ -1579,24 +1714,48 @@ mod tests {
             certificate: Some(CertStatus::Failed("mismatch".to_string())),
         };
         assert!(!failed.is_cacheable(&LimitsSpec::default()));
-        assert_eq!(failed.exit_hint(), 4);
+        // A failed check anywhere in a sweep or an enumeration is
+        // retried, never replayed.
+        let failed = CertCounts {
+            checks: 3,
+            failures: 1,
+        };
+        let sweep = QueryReply::MaxRes {
+            max: Some(2),
+            cert: failed,
+        };
+        assert!(!sweep.is_cacheable(&LimitsSpec::default()));
+        let space = QueryReply::Enumerate {
+            vectors: Vec::new(),
+            truncated: false,
+            undecided: false,
+            cert: failed,
+        };
+        assert!(!space.is_cacheable(&LimitsSpec::default()));
+        let line = reply_line(ModelHash(1), &space, "cold", 1);
+        let parsed = parse_json(&line).unwrap();
+        assert_eq!(parsed.get("cert_failures").and_then(Json::as_u64), Some(1));
     }
 
     /// An unlimited sweep cannot end on an `Unknown` rung, so its null
     /// means "fails with nothing failed" and is as final as any number.
     #[test]
     fn unlimited_maxres_null_is_cacheable() {
-        let null = QueryReply::MaxRes { max: None };
+        let null = QueryReply::MaxRes {
+            max: None,
+            cert: CertCounts::default(),
+        };
         assert!(null.is_cacheable(&LimitsSpec::default()));
-        // The reply alone cannot tell it from an undecided null.
-        assert_eq!(null.exit_hint(), 3);
     }
 
     /// A limited sweep's null may stand for an `Unknown` rung: it is
     /// retried on the next request, not replayed.
     #[test]
     fn limited_maxres_null_is_not_cacheable() {
-        let null = QueryReply::MaxRes { max: None };
+        let null = QueryReply::MaxRes {
+            max: None,
+            cert: CertCounts::default(),
+        };
         let timeout = LimitsSpec {
             timeout_ms: Some(50),
             conflict_budget: None,
@@ -1607,7 +1766,10 @@ mod tests {
         };
         assert!(!null.is_cacheable(&timeout));
         assert!(!null.is_cacheable(&budget));
-        assert!(QueryReply::MaxRes { max: Some(0) }.is_cacheable(&timeout));
-        assert_eq!(null.exit_hint(), 3);
+        let zero = QueryReply::MaxRes {
+            max: Some(0),
+            cert: CertCounts::default(),
+        };
+        assert!(zero.is_cacheable(&timeout));
     }
 }

@@ -32,6 +32,7 @@ use crate::input::AnalysisInput;
 use crate::obs::{MetricsRegistry, Obs, TraceEvent};
 use crate::patch::ModelPatch;
 use crate::security_index::served_distribution;
+use crate::synthesis::{synthesize_upgrades, SynthesisOptions};
 use crate::verify::Analyzer;
 
 use super::cache::{CacheKey, QueryShape, VerdictCache, DEFAULT_CACHE_CAPACITY};
@@ -301,6 +302,37 @@ impl Engine {
                 let key = self.cache_key(&request).expect("queries have cache keys");
                 self.run_query(op_name(&request), key, start)
             }
+            Request::Repair {
+                model,
+                property,
+                spec,
+            } => {
+                let obs = self.obs.clone();
+                // A log of the request's own tallies the candidates'
+                // certificates for the reply.
+                let certify = CertifyOptions {
+                    log: self.certify.log.scoped(),
+                    ..self.certify.clone()
+                };
+                let job: SessionQuery = Box::new(move |analyzer| {
+                    // Synthesis verifies candidate upgrades on analyzers
+                    // of its own, so the warm session's model is only
+                    // read, like `enumerate`'s.
+                    let result = synthesize_upgrades(
+                        analyzer.input(),
+                        property,
+                        spec,
+                        &SynthesisOptions::default(),
+                        &obs,
+                        &certify,
+                    );
+                    Ok(QueryReply::Repair {
+                        result,
+                        cert: certify.log.counts(),
+                    })
+                });
+                self.dispatch_query("repair", model, job, None, start)
+            }
             Request::Patch { model, patch } => self.handle_patch(model, patch, start),
             Request::Batch { dir, jobs } => {
                 // The executor drives this engine's own request path, so
@@ -411,8 +443,12 @@ impl Engine {
                 })
             }),
             QueryShape::MaxRes { property, axis, r } => Box::new(move |analyzer| {
+                let before = analyzer.cert_log().counts();
                 let max = analyzer.max_resiliency_limited(property, axis, r, &query_limits);
-                Ok(QueryReply::MaxRes { max })
+                Ok(QueryReply::MaxRes {
+                    max,
+                    cert: analyzer.cert_log().counts().since(before),
+                })
             }),
             QueryShape::Enumerate {
                 property,
@@ -434,6 +470,7 @@ impl Engine {
                         vectors: space.vectors,
                         truncated: space.truncated,
                         undecided: space.undecided,
+                        cert: fresh.cert_log().counts(),
                     })
                 })
             }
@@ -742,14 +779,28 @@ impl Engine {
             return hit;
         }
         self.metrics.add("service_cache_misses", 1);
-        let model = key.model;
+        let job = self.session_query(&key);
+        self.dispatch_query(op, key.model, job, Some(key), start)
+    }
+
+    /// Runs `job` on the warm session of `model` under admission
+    /// control and renders its reply; the reply is cached under `key`
+    /// when one is given.
+    fn dispatch_query(
+        &self,
+        op: &'static str,
+        model: ModelHash,
+        job: SessionQuery,
+        key: Option<CacheKey>,
+        start: Instant,
+    ) -> Response {
         let _guard = match self.admit_or_reject(op, start) {
             Ok(guard) => guard,
             Err(rejection) => return rejection,
         };
         // Dispatch under the manager lock, wait outside it: a slow query
         // must not serialize the whole service.
-        let ticket = lock(&self.sessions).dispatch(model, self.session_query(&key));
+        let ticket = lock(&self.sessions).dispatch(model, job);
         let Some(ticket) = ticket else {
             // A miss during a drain means the manager already shut
             // down; `draining` is the honest answer, not `unknown
@@ -765,7 +816,9 @@ impl Engine {
         let provenance = ticket.warmth().as_str();
         match ticket.wait() {
             Ok(reply) => {
-                lock(&self.cache).insert(key, &reply);
+                if let Some(key) = key {
+                    lock(&self.cache).insert(key, &reply);
+                }
                 self.trace_request(op, "ok", Some(provenance), start);
                 Response::reply(reply_line(
                     model,
@@ -863,6 +916,7 @@ pub(crate) fn op_name(request: &Request) -> &'static str {
         Request::MaxRes { .. } => "maxres",
         Request::Enumerate { .. } => "enumerate",
         Request::SecurityIndex { .. } => "security_index",
+        Request::Repair { .. } => "repair",
         Request::Patch { .. } => "patch",
         Request::Stats => "stats",
         Request::Batch { .. } => "batch",

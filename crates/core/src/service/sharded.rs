@@ -229,6 +229,7 @@ impl ShardedEngine {
             | Request::MaxRes { model, .. }
             | Request::Enumerate { model, .. }
             | Request::SecurityIndex { model }
+            | Request::Repair { model, .. }
             | Request::Evict { model } => self.shard(model).handle_request(request, start),
         }
     }

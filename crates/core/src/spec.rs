@@ -301,26 +301,25 @@ impl QueryLimits {
 ///
 /// The [`Default`] context is plain behaviour: unlimited queries, no
 /// tracing or metrics, no certification. Entry points that build their
-/// own analyzers ([`crate::verify_batch`], [`crate::par_max_resiliency`],
-/// [`crate::par_resiliency_frontier`], [`crate::enumerate_threats`])
-/// take a `&QueryContext`; methods on an existing [`crate::Analyzer`]
-/// take only [`QueryLimits`], because the analyzer already carries its
-/// `obs` and `certify`.
+/// own analyzers ([`crate::par_max_resiliency`],
+/// [`crate::enumerate_threats`]) take a `&QueryContext`; methods on an
+/// existing [`crate::Analyzer`] take only [`QueryLimits`], because the
+/// analyzer already carries its `obs` and `certify`.
 ///
 /// # Examples
 ///
 /// ```
 /// use scada_analyzer::casestudy::five_bus_case_study;
-/// use scada_analyzer::{verify_batch, CertifyOptions, Property, QueryContext, ResiliencySpec};
+/// use scada_analyzer::{enumerate_threats, CertifyOptions, Property, QueryContext, ResiliencySpec};
 ///
 /// let input = five_bus_case_study();
 /// let ctx = QueryContext {
 ///     certify: CertifyOptions::enabled(),
 ///     ..QueryContext::default()
 /// };
-/// let queries = [(Property::Observability, ResiliencySpec::split(1, 1))];
-/// let reports = verify_batch(&input, &queries, 1, &ctx);
-/// assert!(reports[0].verdict.is_resilient());
+/// let spec = ResiliencySpec::split(1, 1);
+/// let space = enumerate_threats(&input, Property::Observability, spec, 10, &ctx);
+/// assert!(space.is_empty(), "the case study is (1,1)-resilient");
 /// assert_eq!(ctx.certify.log.failures(), 0);
 /// ```
 #[derive(Debug, Clone, Default)]

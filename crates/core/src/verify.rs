@@ -32,7 +32,7 @@ use satcore::{ChunkSink, ProofSink};
 use scadasim::DeviceId;
 
 use crate::bruteforce::DirectEvaluator;
-use crate::certify::{CertSession, Certificate, CertifyOptions, CHUNK_ENTRIES};
+use crate::certify::{CertSession, Certificate, CertificationLog, CertifyOptions, CHUNK_ENTRIES};
 use crate::encode::paths::{enumerate_paths, paths_after_set_profile, PathTable};
 use crate::encode::{DeltaStats, EncodingStats, ModelEncoder, SearchOutcome};
 use crate::input::AnalysisInput;
@@ -210,11 +210,17 @@ impl<'a> Analyzer<'a> {
         entries: usize,
         install: impl FnOnce(ChunkSink) -> Box<dyn ProofSink>,
     ) -> Analyzer<'a> {
-        let (cert, sink) = if certify.enabled {
+        let (certify, cert, sink) = if certify.enabled {
+            // The analyzer's own log tallies its queries; the records
+            // also reach the caller's log.
+            let certify = CertifyOptions {
+                log: certify.log.scoped(),
+                ..certify
+            };
             let (session, sink) = CertSession::start(certify.clone(), entries);
-            (Some(session), Some(install(sink)))
+            (certify, Some(session), Some(install(sink)))
         } else {
-            (None, None)
+            (certify, None, None)
         };
         let encoder = ModelEncoder::with_proof_sink(&input, paths.clone(), sink);
         Analyzer {
@@ -233,6 +239,12 @@ impl<'a> Analyzer<'a> {
     /// The analyzer's observability handle.
     pub fn obs(&self) -> &Obs {
         &self.obs
+    }
+
+    /// The certification outcomes of this analyzer's queries (also
+    /// recorded in the log it was built with).
+    pub fn cert_log(&self) -> &CertificationLog {
+        &self.certify.log
     }
 
     /// The input under analysis. The reference borrows the analyzer:

@@ -6,11 +6,12 @@
 
 use scada_analyzer::bruteforce::DirectEvaluator;
 use scada_analyzer::casestudy::five_bus_case_study;
+use scada_analyzer::service::{parse_json, Engine, Json, ServeOptions};
 use scada_analyzer::synthesis::{synthesize_upgrades, SynthesisOptions};
 use scada_analyzer::{
-    enumerate_threats_with, par_max_resiliency, par_resiliency_frontier, verify_batch,
-    AnalysisInput, Analyzer, BudgetAxis, CertFault, Certificate, CertifyOptions, MetricsRegistry,
-    Obs, Property, QueryContext, QueryLimits, ResiliencySpec, Verdict,
+    enumerate_threats_with, par_max_resiliency, AnalysisInput, Analyzer, BudgetAxis, CertFault,
+    Certificate, CertifyOptions, MetricsRegistry, Obs, Property, QueryContext, QueryLimits,
+    ResiliencySpec, Verdict,
 };
 
 /// A context that certifies every verdict.
@@ -175,24 +176,41 @@ fn enumeration_certifies_vectors_and_exhaustion() {
 #[test]
 fn parallel_batch_certifies_into_one_shared_log() {
     let input = five_bus_case_study();
-    let queries = all_specs();
     let ctx = certifying();
     let certify = &ctx.certify;
-    let reports = verify_batch(&input, &queries, 4, &ctx);
-    assert_eq!(reports.len(), queries.len());
-    for report in &reports {
-        let certificate = report.certificate.as_ref().expect("certified batch");
-        assert!(!certificate.is_failure(), "{certificate:?}");
+    let mut sweeps = 0;
+    for property in [
+        Property::Observability,
+        Property::SecuredObservability,
+        Property::BadDataDetectability,
+    ] {
+        for axis in [
+            BudgetAxis::IedsOnly,
+            BudgetAxis::RtusOnly,
+            BudgetAxis::Total,
+        ] {
+            let plain = par_max_resiliency(&input, property, axis, 1, 4, &QueryContext::default());
+            let certified = par_max_resiliency(&input, property, axis, 1, 4, &ctx);
+            assert_eq!(certified, plain, "{property} along {axis:?}");
+            sweeps += 1;
+        }
     }
-    assert_eq!(certify.log.checks(), queries.len() as u64);
-    assert_eq!(certify.log.failures(), 0);
+    // Every sweep runs at least its k = 0 rung, on whichever of the four
+    // workers takes it; all of them tally into the one log.
+    assert!(certify.log.checks() >= sweeps);
+    assert_eq!(
+        certify.log.failures(),
+        0,
+        "{:?}",
+        certify.log.first_failure()
+    );
 }
 
-/// The frontier sweep and upgrade synthesis under certification: the
-/// same answers as the plain default context, every verdict checked,
-/// and the frontier's fleet jobs counted in the registry.
+/// The max-resiliency sweep and upgrade synthesis under certification:
+/// the same answers as the plain default context, every verdict
+/// checked, and the sweep's fleet jobs counted in the registry.
 #[test]
-fn frontier_and_synthesis_certify_without_changing_answers() {
+fn sweep_and_synthesis_certify_without_changing_answers() {
     use std::sync::Arc;
 
     let input = five_bus_case_study();
@@ -202,14 +220,12 @@ fn frontier_and_synthesis_certify_without_changing_answers() {
         ..certifying()
     };
     for property in [Property::Observability, Property::SecuredObservability] {
-        let plain = par_resiliency_frontier(&input, property, 1, 2, &QueryContext::default());
-        let certified = par_resiliency_frontier(&input, property, 1, 2, &ctx);
-        assert_eq!(certified, plain, "{property} frontier");
+        let axis = BudgetAxis::IedsOnly;
+        let plain = par_max_resiliency(&input, property, axis, 1, 2, &QueryContext::default());
+        let certified = par_max_resiliency(&input, property, axis, 1, 2, &ctx);
+        assert_eq!(certified, plain, "{property} sweep");
     }
-    assert!(
-        metrics.counter("fleet_jobs") > 0,
-        "frontier rows are counted"
-    );
+    assert!(metrics.counter("fleet_jobs") > 0, "sweep rungs are counted");
 
     let synthesize = |obs: &Obs, certify: &CertifyOptions| {
         synthesize_upgrades(
@@ -267,6 +283,68 @@ fn corrupted_proofs_and_models_are_rejected() {
     }
     assert_eq!(certify.log.failures(), 1);
     assert!(certify.log.first_failure().is_some());
+}
+
+/// A failed check inside a sweep, an enumeration or a synthesis reaches
+/// its reply as `cert_failures` — what a `scadad` client reads for exit
+/// code 4 — and such a reply is answered afresh, never from the cache.
+/// The corrupted model fails threat certificates only, so the
+/// resilient `verify` beside them checks cleanly.
+#[test]
+fn engine_replies_count_failed_checks_beyond_verify() {
+    let engine = Engine::new(ServeOptions {
+        certify: CertifyOptions {
+            fault: Some(CertFault::CorruptModel),
+            ..CertifyOptions::enabled()
+        },
+        ..ServeOptions::default()
+    });
+    let send = |line: &str| parse_json(&engine.handle_line(line).line).unwrap();
+    let load = send("{\"op\":\"load\",\"case_study\":true}");
+    let model = load
+        .get("model")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string();
+    let query = |fields: &str| send(&format!("{{\"model\":\"{model}\",{fields}}}"));
+    let count = |reply: &Json, key: &str| reply.get(key).and_then(Json::as_u64);
+
+    let verify = query("\"op\":\"verify\",\"property\":\"obs\",\"spec\":{\"k1\":1,\"k2\":1}");
+    assert_eq!(
+        verify.get("certificate").and_then(Json::as_str),
+        Some("proof")
+    );
+    let sweep = "\"op\":\"maxres\",\"property\":\"obs\",\"axis\":\"total\",\"r\":1";
+    for _ in 0..2 {
+        let reply = query(sweep);
+        assert!(count(&reply, "cert_checks") > Some(0), "{reply:?}");
+        assert!(count(&reply, "cert_failures") > Some(0), "{reply:?}");
+        assert_ne!(
+            reply.get("provenance").and_then(Json::as_str),
+            Some("cached")
+        );
+    }
+    let space =
+        query("\"op\":\"enumerate\",\"property\":\"obs\",\"spec\":{\"k1\":2,\"k2\":1},\"cap\":10");
+    assert!(count(&space, "cert_failures") > Some(0), "{space:?}");
+    let repair = query("\"op\":\"repair\",\"property\":\"secured\",\"spec\":{\"k1\":1,\"k2\":1}");
+    assert!(count(&repair, "cert_failures") > Some(0), "{repair:?}");
+    engine.drain();
+
+    // An uncertified engine's replies carry no tally at all.
+    let plain = Engine::new(ServeOptions::default());
+    let load = parse_json(
+        &plain
+            .handle_line("{\"op\":\"load\",\"case_study\":true}")
+            .line,
+    )
+    .unwrap();
+    let model = load.get("model").and_then(Json::as_str).unwrap();
+    let line = plain
+        .handle_line(&format!("{{\"model\":\"{model}\",{sweep}}}"))
+        .line;
+    assert!(!line.contains("cert_"), "{line}");
+    plain.drain();
 }
 
 #[test]

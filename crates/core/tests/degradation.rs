@@ -10,10 +10,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use scada_analyzer::casestudy::five_bus_case_study;
-use scada_analyzer::parallel::{par_map, verify_batch};
+use scada_analyzer::parallel::{par_map, par_max_resiliency};
 use scada_analyzer::{
-    Analyzer, Obs, Property, QueryContext, QueryLimits, ResiliencySpec, RetryPolicy, SearchOutcome,
-    Verdict,
+    Analyzer, BudgetAxis, Obs, Property, QueryContext, QueryLimits, ResiliencySpec, RetryPolicy,
+    SearchOutcome, Verdict,
 };
 
 const OBS: Property = Property::Observability;
@@ -128,28 +128,31 @@ fn retry_policy_budget_growth() {
     assert_eq!(RetryPolicy::escalating(0).attempts, 1);
 }
 
-/// A batch under an expired deadline reports Unknown for every entry —
-/// no panic, no hang — while the unlimited batch matches the seed.
+/// A sweep under an expired deadline degrades on every worker — no
+/// panic, no hang — to the sound "nothing proven" answer, while the
+/// unlimited sweep matches the serial seed.
 #[test]
 fn bounded_batch_degrades_per_query() {
     let input = five_bus_case_study();
-    let queries: Vec<(Property, ResiliencySpec)> =
-        (0..3).map(|k| (OBS, ResiliencySpec::total(k))).collect();
     let expired = QueryContext {
         limits: QueryLimits::none().with_deadline(Instant::now()),
         ..QueryContext::default()
     };
-    let bounded = verify_batch(&input, &queries, 2, &expired);
-    assert_eq!(bounded.len(), queries.len());
-    for report in &bounded {
-        assert!(
-            report.verdict.is_unknown(),
-            "all queries share the expired deadline"
-        );
-    }
-    // The unlimited batch still decides everything.
-    let unlimited = verify_batch(&input, &queries, 2, &QueryContext::default());
-    assert!(unlimited.iter().all(|r| !r.verdict.is_unknown()));
+    let bounded = par_max_resiliency(&input, OBS, BudgetAxis::Total, 1, 2, &expired);
+    assert_eq!(bounded, None, "every rung shares the expired deadline");
+    // The unlimited sweep still decides everything.
+    let unlimited = par_max_resiliency(
+        &input,
+        OBS,
+        BudgetAxis::Total,
+        1,
+        2,
+        &QueryContext::default(),
+    );
+    assert_eq!(
+        unlimited,
+        Analyzer::new(&input).max_resiliency(OBS, BudgetAxis::Total, 1)
+    );
 }
 
 /// A panicking job inside a parallel fleet: the original message
@@ -305,7 +308,7 @@ fn unknown_fault_name_is_a_usage_error() {
     assert!(stderr.contains("SCADA_CERTIFY_FAULT"), "stderr: {stderr}");
 }
 
-/// A panicking verification job inside `verify_batch` does not corrupt
+/// A panicking verification job inside a fleet does not corrupt
 /// sibling verdicts: rerunning the clean part of the batch afterwards
 /// still matches the seed results.
 #[test]
@@ -326,8 +329,10 @@ fn panicking_verification_job_leaves_siblings_sound() {
     assert!(result.is_err(), "fleet must fail loudly, not partially");
 
     // A clean batch on the same inputs afterwards is unaffected.
-    let reports = verify_batch(&input, &queries, 2, &QueryContext::default());
-    assert!(reports[0].verdict.is_resilient());
-    assert!(reports[1].verdict.is_resilient());
-    assert!(!reports[3].verdict.is_resilient());
+    let resilient = par_map(&queries, 2, &Obs::none(), |_, &(p, s), _| {
+        Analyzer::new(&input).verify(p, s).is_resilient()
+    });
+    assert!(resilient[0]);
+    assert!(resilient[1]);
+    assert!(!resilient[3]);
 }

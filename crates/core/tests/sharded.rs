@@ -66,6 +66,8 @@ const SCRIPT: &[&str] = &[
     "this is not json",
     "{\"op\":\"patch\",\"model\":\"{model}\",\"patch\":{\"add_device\":{\"kind\":\"rtu\",\"peers\":[14]}}}",
     "{\"op\":\"verify\",\"model\":\"{patched}\",\"property\":\"obs\",\"spec\":{\"k1\":1,\"k2\":1}}",
+    // Upgrade synthesis runs on the owning shard's (patched) session.
+    "{\"op\":\"repair\",\"model\":\"{patched}\",\"property\":\"secured\",\"spec\":{\"k1\":1,\"k2\":1}}",
     // Device patches cannot touch the electrical measurement set, so
     // the index distribution migrates to the patched hash: `cached` on
     // both the single and the sharded engine (cross-shard adopt).
